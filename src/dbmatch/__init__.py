@@ -7,7 +7,6 @@ calculator, and a config-driven experiment harness.
 
 from .detection import (
     DeletionEstimate,
-    PatternEstimate,
     RunStructure,
     assemble_pattern,
     collapse_runs,
@@ -25,7 +24,6 @@ from .errors import (
     IndependentDatabases,
     MemoryCapExceeded,
     RunMismatch,
-    SearchCapExceeded,
     ValidationError,
 )
 from .experiments import (

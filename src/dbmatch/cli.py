@@ -3,13 +3,15 @@
 Subcommands: ``capacity`` (exact value with its per-count decomposition
 and a cross-check), ``simulate`` (one config, full trial records),
 ``sweep`` (growth-rate grid) and ``detect-bench``.  Output files are
-written whole after a run succeeds, never partially.
+written whole after a run succeeds, through a temporary file renamed onto
+the target, so a crash never leaves one partially written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,7 +51,14 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        target = Path(out)
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _capacity_text(cfg: experiments.ExperimentConfig) -> str:

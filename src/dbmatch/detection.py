@@ -2,28 +2,25 @@
 
 Stage 1 groups consecutive columns of the shuffled view into replica runs
 by thresholding their Hamming distances.  Stage 2 locates deleted columns
-by an exhaustive minimum-Hamming search over candidate deletion sets,
-comparing remapped seed rows against the source-side seeds.  The two
-stages combine into a per-column count estimate.
-
-Inputs are immutable; the candidate-set scan reduces to a minimum and can
-be parallelized as long as ties keep comparing (distance, set) pairs.
+by a minimum-Hamming search over deletion sets, comparing remapped seed
+rows against the source-side seeds; a deletions-only alignment dynamic
+program solves it exactly in O(n * k_tilde).  The two stages combine into
+a per-column count estimate.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, RunMismatch, SearchCapExceeded, ValidationError
+from .errors import ArityMismatch, RunMismatch, ValidationError
 from .model import LabeledDatabase, RepetitionPattern
 from .probability import SymbolMap
 
-DEFAULT_SEARCH_CAP = 10_000_000
-_COMBO_CHUNK = 32_768
+# marks alignment cells with fewer source columns left than noisy ones;
+# adding up to n * b mismatches to it cannot overflow int64
+_INFEASIBLE = np.int64(2**62)
 
 
 @dataclass(frozen=True)
@@ -62,26 +59,6 @@ class DeletionEstimate:
     def __post_init__(self) -> None:
         if list(self.indices) != sorted(set(self.indices)):
             raise ValidationError("deletion indices must be sorted and unique")
-
-
-@dataclass(frozen=True)
-class PatternEstimate:
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.ndim != 1 or np.any(arr < 0):
-            raise ValidationError("pattern counts must be a 1-d nonnegative vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def total_columns(self) -> int:
-        return int(self.counts.sum())
 
 
 def consecutive_hamming(d2: LabeledDatabase) -> np.ndarray:
@@ -135,17 +112,12 @@ def collapse_runs(mat: np.ndarray, runs: RunStructure) -> np.ndarray:
     return mat[:, list(runs.first_columns)]
 
 
-def _deletion_candidate_count(n: int, d: int) -> int:
-    return math.comb(n, d)
-
-
 def detect_deletions(
     g1: np.ndarray,
     g2_collapsed: np.ndarray,
     sigma: SymbolMap,
-    search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> DeletionEstimate:
-    """Exhaustive minimum-Hamming deletion search over the seed rows.
+    """Minimum-Hamming deletion search over the seed rows.
 
     The remapping is applied to the collapsed noisy side, then every
     deletion set of the forced size is scored by the total mismatch count
@@ -153,6 +125,12 @@ def detect_deletions(
     by position.  The first set achieving the minimum in lexicographic
     order wins.  Zero seed rows make every distance zero, so the
     lexicographically smallest set is returned.
+
+    The score is a sum over an order-preserving alignment of kept source
+    columns to noisy columns, so the deletions-only edit-distance
+    recurrence best[a, j] = min(best[a+1, j], mismatch[a, j] + best[a+1, j+1])
+    gives the minimum exactly.  Reading it back from column 0 and deleting
+    whenever deletion stays optimal yields the lexicographically first set.
     """
     if g1.ndim != 2 or g2_collapsed.ndim != 2:
         raise ValidationError("seed matrices must be 2-d")
@@ -162,40 +140,28 @@ def detect_deletions(
     k_tilde = g2_collapsed.shape[1]
     if k_tilde > n:
         raise RunMismatch(f"{k_tilde} runs exceed the {n} source columns")
-    d = n - k_tilde
-    if d == 0:
-        return DeletionEstimate((), int((g1 != sigma.apply(g2_collapsed)).sum()))
-    n_candidates = _deletion_candidate_count(n, d)
-    if n_candidates > search_cap:
-        raise SearchCapExceeded(
-            f"C({n},{d}) = {n_candidates} candidate deletion sets exceed cap {search_cap}"
-        )
     g2s = sigma.apply(g2_collapsed)
     # mismatch[a, j]: rows where source column a differs from noisy column j
     mismatch = (g1[:, :, None] != g2s[:, None, :]).sum(axis=0).astype(np.int64)
 
-    best_dist: int | None = None
-    best_set: tuple[int, ...] = ()
-    combos = itertools.combinations(range(n), d)
-    positions = np.arange(k_tilde)
-    while True:
-        chunk = list(itertools.islice(combos, _COMBO_CHUNK))
-        if not chunk:
-            break
-        dels = np.asarray(chunk, dtype=np.int64)
-        keep_mask = np.ones((len(chunk), n), dtype=bool)
-        np.put_along_axis(keep_mask, dels, False, axis=1)
-        kept = np.nonzero(keep_mask)[1].reshape(len(chunk), k_tilde)
-        dists = mismatch[kept, positions].sum(axis=1)
-        idx = int(np.argmin(dists))
-        if best_dist is None or dists[idx] < best_dist:
-            best_dist = int(dists[idx])
-            best_set = tuple(int(v) for v in chunk[idx])
-    assert best_dist is not None
-    return DeletionEstimate(best_set, best_dist)
+    # best[a, j]: least mismatch aligning source columns a.. onto noisy j..
+    best = np.empty((n + 1, k_tilde + 1), dtype=np.int64)
+    best[n, :k_tilde] = _INFEASIBLE
+    best[:, k_tilde] = 0
+    for a in range(n - 1, -1, -1):
+        np.minimum(best[a + 1, :k_tilde], mismatch[a] + best[a + 1, 1:], out=best[a, :k_tilde])
+
+    deleted: list[int] = []
+    j = 0
+    for a in range(n):
+        if j == k_tilde or best[a + 1, j] == best[a, j]:
+            deleted.append(a)
+        else:
+            j += 1
+    return DeletionEstimate(tuple(deleted), int(best[0, 0]))
 
 
-def assemble_pattern(runs: RunStructure, dels: DeletionEstimate, n: int) -> PatternEstimate:
+def assemble_pattern(runs: RunStructure, dels: DeletionEstimate, n: int) -> RepetitionPattern:
     """Interleave run lengths and deletions into per-column count estimates."""
     if runs.k_tilde + len(dels.indices) != n:
         raise ArityMismatch(
@@ -207,7 +173,7 @@ def assemble_pattern(runs: RunStructure, dels: DeletionEstimate, n: int) -> Patt
     for j in range(n):
         if j not in deleted:
             counts[j] = next(lengths)
-    return PatternEstimate(counts)
+    return RepetitionPattern(counts)
 
 
 def diagnostics(

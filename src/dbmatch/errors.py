@@ -25,10 +25,6 @@ class DegenerateGap(DbMatchError):
     """p0 == p1 (or q0 == q1): no threshold separates the two hypotheses."""
 
 
-class SearchCapExceeded(DbMatchError):
-    """Exhaustive deletion search would evaluate more candidate sets than allowed."""
-
-
 class RunMismatch(DbMatchError):
     """Detected run count is inconsistent with the column budget (k_tilde > n)."""
 

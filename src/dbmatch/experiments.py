@@ -5,7 +5,7 @@ detection benchmarks.
 Trials are independent: each owns a generator substream keyed by the
 master seed and its index, so batches are order-independent and a config
 plus seed reproduces outputs byte for byte.  Infrastructure failures
-(search caps, independent databases) are recorded on the trial and kept
+(independent databases, memory caps) are recorded on the trial and kept
 out of every matching-error aggregate.
 """
 
@@ -28,7 +28,6 @@ from .errors import (
     IndependentDatabases,
     MemoryCapExceeded,
     RunMismatch,
-    SearchCapExceeded,
     ValidationError,
 )
 from .probability import Channel, Pmf
@@ -71,7 +70,6 @@ class ExperimentConfig:
     tau: float | None = None
     seed_rows: int | None = None
     seed_order: float | None = None
-    search_cap: int = detection.DEFAULT_SEARCH_CAP
     s_max_cap: int = probability.DEFAULT_SMAX_CAP
     entry_cap: int = model.DEFAULT_ENTRY_CAP
     match_rows: int | None = None
@@ -142,7 +140,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         tau=float(data["tau"]) if data.get("tau") is not None else None,
         seed_rows=int(data["seedRows"]) if data.get("seedRows") is not None else None,
         seed_order=float(data["seedOrder"]) if data.get("seedOrder") is not None else None,
-        search_cap=int(data.get("searchCap", detection.DEFAULT_SEARCH_CAP)),
         s_max_cap=int(data.get("sMaxCap", probability.DEFAULT_SMAX_CAP)),
         entry_cap=int(data.get("entryCap", model.DEFAULT_ENTRY_CAP)),
         match_rows=int(data["matchRows"]) if data.get("matchRows") is not None else None,
@@ -243,9 +240,7 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
         b = seed_batch_size(cfg)
         seeds = model.generate_seeds(b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds)
         g2_collapsed = detection.collapse_runs(seeds.g2, runs)
-        dels = detection.detect_deletions(
-            seeds.g1, g2_collapsed, scalars.sigma, search_cap=cfg.search_cap
-        )
+        dels = detection.detect_deletions(seeds.g1, g2_collapsed, scalars.sigma)
         deletion_ok = set(dels.indices) == set(pattern.deleted_indices.tolist())
 
         s_hat = detection.assemble_pattern(runs, dels, cfg.n)
@@ -268,13 +263,7 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
             error_rate=report.error_rate,
             wall_time=time.perf_counter() - t0,
         )
-    except (
-        SearchCapExceeded,
-        IndependentDatabases,
-        RunMismatch,
-        DegenerateGap,
-        MemoryCapExceeded,
-    ) as exc:
+    except (IndependentDatabases, RunMismatch, DegenerateGap, MemoryCapExceeded) as exc:
         return TrialRecord(
             index=index,
             wall_time=time.perf_counter() - t0,
@@ -462,12 +451,7 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
             pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
             seeds = model.generate_seeds(b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds)
             g2c = detection.collapse_runs(seeds.g2, detection.true_runs(pattern))
-            try:
-                dels = detection.detect_deletions(
-                    seeds.g1, g2c, scalars.sigma, search_cap=cfg.search_cap
-                )
-            except SearchCapExceeded:
-                continue
+            dels = detection.detect_deletions(seeds.g1, g2c, scalars.sigma)
             successes += set(dels.indices) == set(pattern.deleted_indices.tolist())
         rows.append(BenchRow("deletion", b, cfg.trials, successes, None))
     return rows

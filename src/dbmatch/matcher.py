@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import PatternEstimate
 from .errors import ArityMismatch, ValidationError
-from .model import GroundTruth, LabeledDatabase, UnlabeledDatabase
+from .model import GroundTruth, LabeledDatabase, RepetitionPattern, UnlabeledDatabase
 from .probability import Channel, Pmf, entropy, repeat_mutual_information, _tuple_laws
 
 LOG_ZERO = -1.0e18
@@ -81,7 +80,7 @@ class MarkedDatabase:
         return [self.cell(i, j) for j in range(self.n)]
 
 
-def build_marked(d2: LabeledDatabase, s_hat: PatternEstimate) -> MarkedDatabase:
+def build_marked(d2: LabeledDatabase, s_hat: RepetitionPattern) -> MarkedDatabase:
     """Segment the flat view by the count estimate."""
     if s_hat.total_columns != d2.total_columns:
         raise ArityMismatch(

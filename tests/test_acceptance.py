@@ -31,7 +31,6 @@ from dbmatch.matcher import (
     build_marked,
     match_all,
 )
-from dbmatch.detection import PatternEstimate
 from dbmatch.model import (
     Labeling,
     apply_repetition_noise,
@@ -364,7 +363,7 @@ def test_criterion_6_oracle_equivalence():
             pat = sample_pattern(n, p_s, st.pattern)
             lab = sample_labeling(m, st.labeling)
             d2 = apply_repetition_noise(d1, pat, lab, ch, st.noise)
-            marked = build_marked(d2, PatternEstimate(pat.counts))
+            marked = build_marked(d2, pat)
             report = match_all(d1, marked, params)
             for pos, row in enumerate(report.matched_rows):
                 ref = naive_accept_set(

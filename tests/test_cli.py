@@ -131,3 +131,13 @@ def test_no_partial_output_on_error(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(["sweep", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_output_written_atomically(config_path, tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "records.json"
+    out.write_text("stale")
+    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 3
+    assert [p.name for p in out_dir.iterdir()] == ["records.json"]

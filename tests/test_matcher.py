@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from dbmatch.detection import PatternEstimate
 from dbmatch.errors import ArityMismatch, ValidationError
 from dbmatch.matcher import (
     OUTCOME_AMBIGUOUS,
@@ -52,14 +51,14 @@ def labeled(rows):
 
 def test_build_marked_all_singletons():
     d2 = labeled([[0, 1, 0], [1, 1, 1]])
-    marked = build_marked(d2, PatternEstimate(np.array([1, 1, 1])))
+    marked = build_marked(d2, RepetitionPattern(np.array([1, 1, 1])))
     assert not any(marked.is_erased(j) for j in range(3))
     assert [c.tolist() for c in marked.row_cells(0)] == [[0], [1], [0]]
 
 
 def test_build_marked_with_erasures():
     d2 = labeled([[7 % 2, 1, 0]])  # row (a, b, c) = (1, 1, 0)
-    marked = build_marked(d2, PatternEstimate(np.array([2, 0, 1])))
+    marked = build_marked(d2, RepetitionPattern(np.array([2, 0, 1])))
     cells = marked.row_cells(0)
     assert cells[0].tolist() == [1, 1]
     assert cells[1].size == 0 and marked.is_erased(1)
@@ -68,13 +67,13 @@ def test_build_marked_with_erasures():
 
 def test_build_marked_all_erased():
     d2 = labeled(np.zeros((3, 0)))
-    marked = build_marked(d2, PatternEstimate(np.zeros(4, dtype=np.int64)))
+    marked = build_marked(d2, RepetitionPattern(np.zeros(4, dtype=np.int64)))
     assert all(marked.is_erased(j) for j in range(4))
 
 
 def test_build_marked_arity_mismatch():
     with pytest.raises(ArityMismatch):
-        build_marked(labeled([[0, 1]]), PatternEstimate(np.array([1, 1, 1])))
+        build_marked(labeled([[0, 1]]), RepetitionPattern(np.array([1, 1, 1])))
 
 
 def test_build_marked_is_lossless():
@@ -83,7 +82,7 @@ def test_build_marked_is_lossless():
         n = int(rng.integers(1, 12))
         pat = sample_pattern(n, Pmf([0.3, 0.4, 0.3]), rng)
         d2 = labeled(rng.integers(0, 2, size=(3, pat.total_columns)))
-        marked = build_marked(d2, PatternEstimate(pat.counts))
+        marked = build_marked(d2, pat)
         for i in range(3):
             flat = np.concatenate([c for c in marked.row_cells(i)] or [np.array([])])
             assert np.array_equal(flat.astype(np.uint8), d2.entries[i])
@@ -231,7 +230,7 @@ def test_decoder_equivalence_with_enumeration():
         pat = sample_pattern(n, P_S, st.pattern)
         lab = sample_labeling(m, st.labeling)
         d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-        marked = build_marked(d2, PatternEstimate(pat.counts))
+        marked = build_marked(d2, pat)
         report = match_all(d1, marked, params)
         for pos, row in enumerate(report.matched_rows):
             ref = naive_accept_set(
@@ -250,7 +249,7 @@ def test_match_single_row():
     d1 = generate_unlabeled(1, 80, P_X, st.database)
     pat = sample_pattern(80, P_S, st.pattern)
     d2 = apply_repetition_noise(d1, pat, Labeling(np.arange(1)), CH, st.noise)
-    marked = build_marked(d2, PatternEstimate(pat.counts))
+    marked = build_marked(d2, pat)
     report = match_all(d1, marked, TypicalityParams.from_components(P_X, CH, P_S))
     assert report.outcomes == ("matched",)
     assert report.assignment[0] == 0
@@ -260,7 +259,7 @@ def test_duplicate_rows_are_ambiguous():
     x = np.array([[0, 1, 0, 1], [0, 1, 0, 1]], dtype=np.uint8)
     d1 = UnlabeledDatabase(x.copy())
     d2 = labeled(x[:1])
-    marked = build_marked(d2, PatternEstimate(np.ones(4, dtype=np.int64)))
+    marked = build_marked(d2, RepetitionPattern(np.ones(4, dtype=np.int64)))
     params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=1.0)
     report = match_all(d1, marked, params)
     assert report.outcomes == (OUTCOME_AMBIGUOUS,)
@@ -277,7 +276,7 @@ def test_matching_error_below_capacity():
         pat = sample_pattern(n, P_S, st.pattern)
         lab = sample_labeling(m, st.labeling)
         d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-        marked = build_marked(d2, PatternEstimate(pat.counts))
+        marked = build_marked(d2, pat)
         report = evaluate(match_all(d1, marked, params), GroundTruth(pat, lab))
         errs.append(report.error_rate)
     assert float(np.mean(errs)) <= 0.05
@@ -290,7 +289,7 @@ def test_match_rows_subset():
     pat = sample_pattern(n, P_S, st.pattern)
     lab = sample_labeling(m, st.labeling)
     d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-    marked = build_marked(d2, PatternEstimate(pat.counts))
+    marked = build_marked(d2, pat)
     params = TypicalityParams.from_components(P_X, CH, P_S)
     rows = np.array([3, 10, 17])
     report = match_all(d1, marked, params, match_rows=rows)
@@ -352,7 +351,7 @@ def test_ml_decoder_matches_noiseless():
     pat = RepetitionPattern(np.ones(n, dtype=np.int64))
     lab = sample_labeling(m, st.labeling)
     d2 = apply_repetition_noise(d1, pat, lab, Channel.identity(2), st.noise)
-    marked = build_marked(d2, PatternEstimate(pat.counts))
+    marked = build_marked(d2, pat)
     params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=0.5)
     report = evaluate(ml_match_all(d1, marked, params), GroundTruth(pat, lab))
     assert report.error_rate == 0.0
