@@ -232,13 +232,17 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
         d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, rng_db, entry_cap=cfg.entry_cap)
         pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
         labeling = model.sample_labeling(m, rng_lab)
-        d2 = model.apply_repetition_noise(d1, pattern, labeling, cfg.channel, rng_noise)
+        d2 = model.apply_repetition_noise(
+            d1, pattern, labeling, cfg.channel, rng_noise, entry_cap=cfg.entry_cap
+        )
 
         runs = detection.detect_replicas(d2, scalars.tau)
         replica_ok = runs == detection.true_runs(pattern)
 
         b = seed_batch_size(cfg)
-        seeds = model.generate_seeds(b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds)
+        seeds = model.generate_seeds(
+            b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds, entry_cap=cfg.entry_cap
+        )
         g2_collapsed = detection.collapse_runs(seeds.g2, runs)
         dels = detection.detect_deletions(seeds.g1, g2_collapsed, scalars.sigma)
         deletion_ok = set(dels.indices) == set(pattern.deleted_indices.tolist())
@@ -430,7 +434,9 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
             d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, rng_db, entry_cap=cfg.entry_cap)
             pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
             labeling = model.Labeling(np.arange(m))
-            d2 = model.apply_repetition_noise(d1, pattern, labeling, cfg.channel, rng_noise)
+            d2 = model.apply_repetition_noise(
+                d1, pattern, labeling, cfg.channel, rng_noise, entry_cap=cfg.entry_cap
+            )
             runs = detection.detect_replicas(d2, scalars.tau)
             successes += runs == detection.true_runs(pattern)
             bounds.append(
@@ -449,7 +455,9 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
             ss = model.trial_seed_sequence(cfg.master_seed, 1, bi, t)
             _, rng_pat, _, _, rng_seeds, _ = _trial_streams(ss)
             pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
-            seeds = model.generate_seeds(b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds)
+            seeds = model.generate_seeds(
+                b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds, entry_cap=cfg.entry_cap
+            )
             g2c = detection.collapse_runs(seeds.g2, detection.true_runs(pattern))
             dels = detection.detect_deletions(seeds.g1, g2c, scalars.sigma)
             successes += set(dels.indices) == set(pattern.deleted_indices.tolist())

@@ -21,7 +21,9 @@ from .errors import MemoryCapExceeded, ValidationError
 from .probability import Channel, Pmf
 
 DEFAULT_ENTRY_CAP = 2_000_000_000
-_NOISE_BLOCK_ENTRIES = 8_000_000
+# entries per tile of the noisy view: each float64 tile buffer is 256 KiB,
+# so the buffers of one tile stay in a core's L2 cache
+_NOISE_TILE_ENTRIES = 1 << 15
 
 
 class Substreams(NamedTuple):
@@ -208,31 +210,56 @@ def _noisy_repeat(
     pattern: RepetitionPattern,
     ch: Channel,
     rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Repeat columns per the pattern, pass every entry through the channel.
 
-    Rows are processed in fixed-size blocks so peak memory stays bounded;
-    the block order is part of the reproducibility contract.
+    Output row i derives from source row rows[i] (source row i when rows
+    is None).  Reproducibility contract: one float64 uniform per output
+    entry, drawn row-major over the output, mapped through the inverse cdf
+    of the channel row of its source symbol (the output is the number of
+    cdf values at or below the draw).  A float64 uniform takes one 64-bit
+    draw, so the output and the generator's final state do not depend on
+    how the rows are tiled.  The work runs in tiles of about
+    _NOISE_TILE_ENTRIES entries whose buffers are allocated once per call.
     """
-    m = source.shape[0]
+    if rows is None:
+        rows = np.arange(source.shape[0])
+    m = rows.shape[0]
     k_total = pattern.total_columns
     out = np.empty((m, k_total), dtype=np.uint8)
     if k_total == 0 or m == 0:
         return out
+    if int(source.max()) >= ch.size:
+        raise ValidationError("source symbols exceed the channel alphabet")
     col_of = np.repeat(np.arange(pattern.n), pattern.counts)
-    cdf = np.cumsum(ch.rows, axis=1)
-    cdf[:, -1] = 1.0
-    block = max(1, _NOISE_BLOCK_ENTRIES // k_total)
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        x_rep = source[lo:hi][:, col_of]
-        u = rng.random(x_rep.shape)
-        # per-row inverse cdf: y = #{c < k-1 : cdf[x][c] <= u}, the
-        # searchsorted answer without masked scatter passes
-        y = np.zeros(x_rep.shape, dtype=np.uint8)
-        for c in range(ch.size - 1):
-            y += u >= cdf[:, c][x_rep]
-        out[lo:hi] = y
+    # thresholds[c][x] = P(Y <= c | X = x); the last cdf value is 1 and no
+    # draw reaches it, so k-1 thresholds decide the output
+    thresholds = np.ascontiguousarray(np.cumsum(ch.rows, axis=1)[:, :-1].T)
+    tile = min(m, max(1, _NOISE_TILE_ENTRIES // k_total))
+    src = np.empty((tile, pattern.n), dtype=source.dtype)
+    x = np.empty((tile, k_total), dtype=np.intp)
+    u = np.empty((tile, k_total))
+    t = np.empty((tile, k_total))
+    hit = np.empty((tile, k_total), dtype=bool)
+    for lo in range(0, m, tile):
+        hi = min(m, lo + tile)
+        r = hi - lo
+        source.take(rows[lo:hi], axis=0, out=src[:r])
+        x[:r] = src[:r, col_of]
+        rng.random(out=u[:r])
+        y = out[lo:hi]
+        if thresholds.shape[0] == 0:
+            y.fill(0)
+            continue
+        # mode="wrap" skips take's buffered bounds check; symbols were
+        # checked against the alphabet above
+        thresholds[0].take(x[:r], out=t[:r], mode="wrap")
+        np.greater_equal(u[:r], t[:r], out=y.view(np.bool_))
+        for c in range(1, thresholds.shape[0]):
+            thresholds[c].take(x[:r], out=t[:r], mode="wrap")
+            np.greater_equal(u[:r], t[:r], out=hit[:r])
+            y += hit[:r]
     return out
 
 
@@ -242,17 +269,19 @@ def apply_repetition_noise(
     labeling: Labeling,
     ch: Channel,
     rng: np.random.Generator,
+    entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> LabeledDatabase:
     """Produce the shuffled noisy repeated view of d1.
 
     Row i of the output derives from row inverse(i) of d1; column j of d1
     contributes counts[j] output columns, each entry independently noised.
-    Deleted columns contribute nothing, so the output is m x sum(counts).
+    Deleted columns contribute nothing, so the output is m x sum(counts),
+    which must fit the entry budget.
     """
     if pattern.n != d1.n or labeling.m != d1.m:
         raise ValidationError("pattern/labeling dimensions inconsistent with database")
-    source = d1.entries[labeling.inverse]
-    return LabeledDatabase(_noisy_repeat(source, pattern, ch, rng))
+    _check_entry_budget(d1.m, pattern.total_columns, entry_cap)
+    return LabeledDatabase(_noisy_repeat(d1.entries, pattern, ch, rng, rows=labeling.inverse))
 
 
 def generate_seeds(
@@ -262,12 +291,16 @@ def generate_seeds(
     pattern: RepetitionPattern,
     ch: Channel,
     rng: np.random.Generator,
+    entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> SeedBatch:
-    """B fresh aligned row pairs through the same pattern and channel."""
+    """B fresh aligned row pairs through the same pattern and channel; the
+    B x n and B x sum(counts) halves must each fit the entry budget."""
     if b < 0:
         raise ValidationError("seed count must be nonnegative")
     if pattern.n != n:
         raise ValidationError("pattern length inconsistent with column count")
+    _check_entry_budget(b, n, entry_cap)
+    _check_entry_budget(b, pattern.total_columns, entry_cap)
     if b == 0:
         return SeedBatch(
             np.empty((0, n), dtype=np.uint8),

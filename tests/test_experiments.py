@@ -132,6 +132,24 @@ def test_trial_independent_channel_is_infrastructure():
     assert "IndependentDatabases" in rec.infrastructure_failure
 
 
+@pytest.mark.parametrize(
+    ("overrides", "too_big"),
+    [
+        # m * n = 1280 fits, the m x 40 view does not
+        ({"m": 64, "entryCap": 2000, "seedRows": 0}, "64 x 40"),
+        # the view and B * n = 2000 fit, the B x 40 seed half does not
+        ({"m": 64, "entryCap": 3000, "seedRows": 100}, "100 x 40"),
+    ],
+)
+def test_trial_noisy_side_over_entry_cap_is_infrastructure(overrides, too_big):
+    data = {k: v for k, v in BASE.items() if k != "rate"}
+    cfg = config_from_dict(data | {"pS": [0.0, 0.0, 1.0]} | overrides)
+    rec = run_trial(cfg, trial_seed_sequence(cfg.master_seed, 0), 0)
+    assert rec.failed
+    assert "MemoryCapExceeded" in rec.infrastructure_failure
+    assert too_big in rec.infrastructure_failure
+
+
 def test_simulate_is_deterministic():
     cfg = make_config(trials=3, n=16, rate=0.2)
     a = simulate(cfg)

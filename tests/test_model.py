@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dbmatch import model
 from dbmatch.errors import MemoryCapExceeded, ValidationError
 from dbmatch.model import (
     GroundTruth,
     Labeling,
     RepetitionPattern,
+    UnlabeledDatabase,
     apply_repetition_noise,
     generate_seeds,
     generate_unlabeled,
@@ -170,6 +172,112 @@ def test_conditional_law_small_scale():
                 hits = np.all(d2.entries == [y0, y1, y2], axis=1).mean()
                 sigma = np.sqrt(p * (1 - p) / trials)
                 assert abs(hits - p) < 4 * sigma + 1e-4
+
+
+def naive_noisy_view(source, rows, counts, ch, rng):
+    """Slow oracle for the noisy view: one rng.random((m, K)) draw, then
+    each entry is searchsorted(cdf[x], u, side="right") for its source
+    symbol x, with output row i taken from source row rows[i]."""
+    x = source[rows][:, np.repeat(np.arange(len(counts)), counts)]
+    cdf = np.cumsum(ch.rows, axis=1)
+    cdf[:, -1] = 1.0
+    u = rng.random(x.shape)
+    out = np.zeros(x.shape, dtype=np.uint8)
+    for a in range(ch.size):
+        hit = x == a
+        out[hit] = np.searchsorted(cdf[a], u[hit], side="right")
+    return out
+
+
+def random_channel(k, rng):
+    """A random k x k channel with about 40% zero entries."""
+    rows = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
+    rows[np.arange(k), rng.integers(0, k, size=k)] += 0.05
+    return Channel(rows / rows.sum(axis=1, keepdims=True))
+
+
+def assert_noise_matches_oracle(k, m, counts, ch, seed):
+    """The view and the seeds' g2 equal the oracle's, draw for draw."""
+    p_x = Pmf.uniform(k)
+    pattern = RepetitionPattern(np.asarray(counts, dtype=np.int64))
+    setup = np.random.default_rng(seed)
+    d1 = generate_unlabeled(m, pattern.n, p_x, setup)
+    lab = sample_labeling(m, setup)
+    fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    view = apply_repetition_noise(d1, pattern, lab, ch, fast)
+    expect = naive_noisy_view(d1.entries, lab.inverse, pattern.counts, ch, slow)
+    assert np.array_equal(view.entries, expect)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    # the seed halves come from one stream, g1 first
+    seeds = generate_seeds(m, pattern.n, p_x, pattern, ch, fast)
+    g1 = generate_unlabeled(m, pattern.n, p_x, slow).entries
+    assert np.array_equal(seeds.g1, g1)
+    assert np.array_equal(seeds.g2, naive_noisy_view(g1, np.arange(m), pattern.counts, ch, slow))
+    assert fast.bit_generator.state == slow.bit_generator.state
+    return view.entries
+
+
+def test_noise_oracle_several_tiles_with_partial_last():
+    rng = np.random.default_rng(40)
+    counts = rng.integers(0, 4, size=25)
+    k_total = int(counts.sum())
+    tile = max(1, model._NOISE_TILE_ENTRIES // k_total)
+    m = 5 * tile + tile // 2
+    assert_noise_matches_oracle(3, m, counts, random_channel(3, rng), 41)
+
+
+def test_noise_oracle_edge_shapes():
+    rng = np.random.default_rng(42)
+    ch = random_channel(4, rng)
+    assert_noise_matches_oracle(4, 1, [2, 0, 1, 3], ch, 43)  # one row
+    empty = assert_noise_matches_oracle(4, 30, [0, 0, 0], ch, 44)  # K = 0
+    assert empty.shape == (30, 0)
+    # K above any tile size: every tile holds one row
+    wide = [40_000, 0, 30_001]
+    assert sum(wide) > model._NOISE_TILE_ENTRIES
+    assert_noise_matches_oracle(4, 3, wide, ch, 45)
+
+
+def test_noise_oracle_alphabets_with_zero_rows():
+    rng = np.random.default_rng(46)
+    for k in range(2, 9):
+        for rep in range(3):
+            n = int(rng.integers(1, 12))
+            counts = rng.integers(0, 4, size=n)
+            m = int(rng.integers(1, 400))
+            assert_noise_matches_oracle(k, m, counts, random_channel(k, rng), 100 * k + rep)
+
+
+def test_noise_oracle_one_symbol_channel():
+    out = assert_noise_matches_oracle(1, 50, [1, 2, 0, 3], Channel.identity(1), 47)
+    assert out.shape == (50, 6)
+    assert not out.any()
+
+
+def test_view_and_seeds_honour_entry_cap():
+    # m * n = 500 fits the cap, m * sum(counts) = 1000 does not
+    rng = np.random.default_rng(48)
+    p_x, ch = Pmf.uniform(2), Channel.symmetric(2, 0.1)
+    d1 = generate_unlabeled(50, 10, p_x, rng, entry_cap=500)
+    pattern = RepetitionPattern(np.full(10, 2))
+    lab = sample_labeling(50, rng)
+    before = rng.bit_generator.state
+    with pytest.raises(MemoryCapExceeded):
+        apply_repetition_noise(d1, pattern, lab, ch, rng, entry_cap=500)
+    with pytest.raises(MemoryCapExceeded):
+        generate_seeds(50, 10, p_x, pattern, ch, rng, entry_cap=500)
+    assert rng.bit_generator.state == before  # raised before any draw
+    assert apply_repetition_noise(d1, pattern, lab, ch, rng, entry_cap=1000).entries.shape == (50, 20)
+    assert generate_seeds(50, 10, p_x, pattern, ch, rng, entry_cap=1000).g2.shape == (50, 20)
+
+
+def test_view_rejects_symbols_outside_channel():
+    d1 = UnlabeledDatabase(np.array([[0, 2]], dtype=np.uint8))
+    pattern = RepetitionPattern(np.array([1, 1]))
+    with pytest.raises(ValidationError):
+        apply_repetition_noise(
+            d1, pattern, Labeling(np.arange(1)), Channel.symmetric(2, 0.1), np.random.default_rng(0)
+        )
 
 
 def test_seeds_share_column_counts():
