@@ -16,9 +16,7 @@ from .detection import (
     true_runs,
 )
 from .errors import (
-    AlphabetTooLarge,
     ArityMismatch,
-    CapacityCapExceeded,
     DbMatchError,
     DegenerateGap,
     IndependentDatabases,

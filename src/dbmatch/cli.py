@@ -61,14 +61,20 @@ def _emit(text: str, out: str | None) -> None:
             raise
 
 
+def _capacity_values(cfg: experiments.ExperimentConfig):
+    """(capacity, cross-check, per-count terms); the capacity is the sum of
+    the per-count terms, as in probability.capacity."""
+    per = probability.capacity_per_count(cfg.p_x, cfg.p_s, cfg.channel)
+    direct = probability.capacity_direct(cfg.p_x, cfg.p_s, cfg.channel)
+    return float(sum(per.values())), direct, per
+
+
 def _capacity_text(cfg: experiments.ExperimentConfig) -> str:
-    cap = probability.capacity(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
-    direct = probability.capacity_direct(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
-    if abs(cap - direct) > IDENTITY_TOL:
+    cap, direct, per = _capacity_values(cfg)
+    if not abs(cap - direct) <= IDENTITY_TOL:  # NaN fails too
         raise DbMatchError(
             f"capacity cross-check failed: decomposition {cap!r} vs direct {direct!r}"
         )
-    per = probability.capacity_per_count(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
     lines = [f"capacity {cap!r} bits/column (cross-check {direct!r})"]
     for s, term in sorted(per.items()):
         lines.append(f"  s={s}: {term!r}")
@@ -76,9 +82,7 @@ def _capacity_text(cfg: experiments.ExperimentConfig) -> str:
 
 
 def _capacity_json(cfg: experiments.ExperimentConfig) -> str:
-    cap = probability.capacity(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
-    direct = probability.capacity_direct(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
-    per = probability.capacity_per_count(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
+    cap, direct, per = _capacity_values(cfg)
     return (
         json.dumps(
             {

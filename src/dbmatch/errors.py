@@ -17,10 +17,6 @@ class IndependentDatabases(DbMatchError):
     """
 
 
-class AlphabetTooLarge(DbMatchError):
-    """Factorial remapping search refused: alphabet exceeds the cap."""
-
-
 class DegenerateGap(DbMatchError):
     """p0 == p1 (or q0 == q1): no threshold separates the two hypotheses."""
 
@@ -31,10 +27,6 @@ class RunMismatch(DbMatchError):
 
 class ArityMismatch(DbMatchError):
     """Run lengths / deletion set / pattern counts do not add up."""
-
-
-class CapacityCapExceeded(DbMatchError):
-    """Capacity enumeration refused: s_max exceeds the configured cap."""
 
 
 class MemoryCapExceeded(DbMatchError):

@@ -70,7 +70,6 @@ class ExperimentConfig:
     tau: float | None = None
     seed_rows: int | None = None
     seed_order: float | None = None
-    s_max_cap: int = probability.DEFAULT_SMAX_CAP
     entry_cap: int = model.DEFAULT_ENTRY_CAP
     match_rows: int | None = None
     rate_grid: tuple[float, ...] = ()
@@ -140,7 +139,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         tau=float(data["tau"]) if data.get("tau") is not None else None,
         seed_rows=int(data["seedRows"]) if data.get("seedRows") is not None else None,
         seed_order=float(data["seedOrder"]) if data.get("seedOrder") is not None else None,
-        s_max_cap=int(data.get("sMaxCap", probability.DEFAULT_SMAX_CAP)),
         entry_cap=int(data.get("entryCap", model.DEFAULT_ENTRY_CAP)),
         match_rows=int(data["matchRows"]) if data.get("matchRows") is not None else None,
         rate_grid=tuple(float(r) for r in data.get("rateGrid", ())),
@@ -326,7 +324,7 @@ def run_sweep(cfg: ExperimentConfig, r_grid: list[float] | None = None) -> Sweep
             f"{MIN_RECOMMENDED_TRIALS}; confidence intervals will be crude",
             file=sys.stderr,
         )
-    cap = probability.capacity(cfg.p_x, cfg.p_s, cfg.channel, s_max_cap=cfg.s_max_cap)
+    cap = probability.capacity(cfg.p_x, cfg.p_s, cfg.channel)
     points = []
     for gi, rate in enumerate(grid):
         point_cfg = replace(cfg, rate=rate, m=None)

@@ -22,22 +22,14 @@ import numpy as np
 
 from .errors import ArityMismatch, ValidationError
 from .model import GroundTruth, LabeledDatabase, RepetitionPattern, UnlabeledDatabase
-from .probability import Channel, Pmf, entropy, repeat_mutual_information, _tuple_laws
+from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
 
-LOG_ZERO = -1.0e18
 _SCAN_BLOCK_ROWS = 131_072
 
 OUTCOME_CORRECT = "matched-correct"
 OUTCOME_WRONG = "matched-wrong"
 OUTCOME_AMBIGUOUS = "ambiguous"
 OUTCOME_NONE = "none"
-
-
-def _safe_log2(values: np.ndarray) -> np.ndarray:
-    out = np.full(values.shape, LOG_ZERO)
-    pos = values > 0
-    out[pos] = np.log2(values[pos])
-    return out
 
 
 def _count_log_table(p_s: Pmf, max_count: int) -> np.ndarray:
@@ -115,30 +107,14 @@ class TripleLaw:
             )
         )
         mean_s = float(sum(s * p_s[s] for s in range(p_s.size)))
-        h_tuple = 0.0
-        for s in range(p_s.size):
-            if p_s[s] <= 0 or s == 0:
-                continue
-            _, marg = _tuple_laws(p_x, ch, s)
-            nz = marg[marg > 0]
-            h_tuple += p_s[s] * float(-(nz * np.log2(nz)).sum())
         return TripleLaw(
             p_x=p_x,
             ch=ch,
             p_s=p_s,
             h_source=h_x,
-            h_observed=h_s + h_tuple,
+            # H(S) + sum_s p_s(s) H(Y^s), as H(Y^s) = I(X; Y^s) + s H(Y|X)
+            h_observed=h_s + capacity(p_x, p_s, ch) + mean_s * h_y_given_x,
             h_joint=h_x + h_s + mean_s * h_y_given_x,
-        )
-
-    @property
-    def mutual_information(self) -> float:
-        return float(
-            sum(
-                self.p_s[s] * repeat_mutual_information(self.p_x, self.ch, s)
-                for s in range(self.p_s.size)
-                if self.p_s[s] > 0
-            )
         )
 
 

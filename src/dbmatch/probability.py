@@ -18,19 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AlphabetTooLarge,
-    CapacityCapExceeded,
-    DegenerateGap,
-    IndependentDatabases,
-    ValidationError,
-)
+from .errors import DegenerateGap, IndependentDatabases, ValidationError
 
 PMF_TOL = 1e-12
 IDENTITY_TOL = 1e-10
-
-DEFAULT_SIGMA_CAP = 8
-DEFAULT_SMAX_CAP = 4
+LOG_ZERO = -1.0e18
 
 
 def _as_prob_vector(values, name: str) -> np.ndarray:
@@ -170,11 +162,20 @@ class Scalars:
         object.__setattr__(self, "q", math.exp(-0.5 * gap * gap))
 
 
+def _plogp(values: np.ndarray) -> float:
+    """sum of v * log2 v over the positive entries."""
+    nz = values[values > 0]
+    return float((nz * np.log2(nz)).sum())
+
+
+def _safe_log2(values: np.ndarray) -> np.ndarray:
+    """log2 with zero entries floored at LOG_ZERO, so 0 * log stays finite."""
+    return np.log2(values, out=np.full(values.shape, LOG_ZERO), where=values > 0)
+
+
 def entropy(p: Pmf) -> float:
     """Shannon entropy in bits; 0*log(0) terms contribute nothing."""
-    probs = p.probs
-    nz = probs[probs > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return -_plogp(p.probs)
 
 
 def binary_entropy(x: float) -> float:
@@ -243,32 +244,123 @@ def compute_q0_q1(p_x: Pmf, ch: Channel, sigma: SymbolMap) -> tuple[float, float
     return q0, q1
 
 
-def find_best_sigma(p_x: Pmf, ch: Channel, cap: int = DEFAULT_SIGMA_CAP) -> SymbolMap:
-    """Exhaustively pick the remapping maximizing the agreement gap q0 - q1.
+def _augment(cost, u, v, row_of, col_of, row, live) -> None:
+    """Assign `row` by one shortest augmenting path (a Hungarian step).
 
-    Ties go to the lexicographically smallest permutation.  Raises
-    IndependentDatabases when no remapping separates correlated from
-    independent pairs (gap <= PMF_TOL for all of them), which happens
-    exactly when the joint law factorizes.
+    cost is a k x k minimisation matrix; the duals (u, v) are feasible on
+    every live column and tight on every assigned pair, row_of[t] is the row
+    assigned to column t (-1 when free) and col_of its inverse.  Only the
+    columns flagged in `live` take part.  All four arrays are updated in
+    place and stay feasible and tight, so the assignment stays optimal on
+    the rows it covers.  O(k^2).
+    """
+    dist = np.full(cost.shape[1], np.inf)
+    prev = np.full(cost.shape[1], -1)
+    done = ~live
+    tree: list[int] = []
+    i = row
+    while True:
+        slack = cost[i] - u[i] - v
+        closer = ~done & (slack < dist)
+        dist[closer] = slack[closer]
+        prev[closer] = tree[-1] if tree else -1
+        j = int(np.argmin(np.where(done, np.inf, dist)))
+        delta = dist[j]
+        u[row] += delta
+        u[row_of[tree]] += delta
+        v[tree] -= delta
+        dist[~done] -= delta
+        done[j] = True
+        tree.append(j)
+        if row_of[j] < 0:
+            break
+        i = row_of[j]
+    while j >= 0:
+        back = prev[j]
+        r = row_of[back] if back >= 0 else row
+        row_of[j], col_of[r] = r, j
+        j = back
+
+
+def _assignment(cost: np.ndarray):
+    """Minimum-cost perfect assignment of a square matrix with its duals.
+
+    Column reduction and a greedy start, then one shortest augmenting path
+    per row left over (Hungarian / Jonker-Volgenant).  Returns
+    (u, v, row_of, col_of).  O(k^3).
+    """
+    k = cost.shape[0]
+    u = np.zeros(k)
+    v = cost.min(axis=0)
+    row_of = np.full(k, -1)
+    col_of = np.full(k, -1)
+    for t, y in enumerate(cost.argmin(axis=0)):
+        if col_of[y] < 0:
+            row_of[t], col_of[y] = y, t
+    live = np.ones(k, dtype=bool)
+    for y in (col_of < 0).nonzero()[0]:
+        _augment(cost, u, v, row_of, col_of, int(y), live)
+    return u, v, row_of, col_of
+
+
+def _pin(cost, u, v, row_of, col_of, y: int, t: int, live) -> None:
+    """Re-solve an optimal assignment with row y pinned to column t.
+
+    The row that held t and the column y held are left over; one
+    augmenting path over the other live columns joins them again.
+    """
+    freed, moved = col_of[y], row_of[t]
+    row_of[freed], col_of[moved] = -1, -1
+    row_of[t], col_of[y] = y, t
+    rest = live.copy()
+    rest[t] = False
+    _augment(cost, u, v, row_of, col_of, int(moved), rest)
+
+
+def find_best_sigma(p_x: Pmf, ch: Channel) -> SymbolMap:
+    """The remapping maximizing the agreement gap q0 - q1, in O(k^3).
+
+    The gap, sum_y p_x(map[y]) * (W[map[y], y] - p_y(y)), is linear in the
+    permutation, so its maximum is a linear assignment.  Ties are broken by
+    one lexicographic pass: the result is the lexicographically smallest
+    map whose gap is within PMF_TOL of the maximum.  For y = 0, 1, ... the
+    pass pins map[y] to the smallest free symbol that some completion still
+    carries to within PMF_TOL: a symbol the dual bound rules out is skipped,
+    the one the current optimal assignment uses is taken at once, and any
+    other is tried by re-solving the remaining sub-problem (one augmenting
+    path).  Raises IndependentDatabases when the maximum gap is <= PMF_TOL,
+    which happens exactly when the joint law factorizes.
     """
     k = p_x.size
     if k != ch.size:
         raise ValidationError("alphabet size mismatch")
-    if k > cap:
-        raise AlphabetTooLarge(f"alphabet size {k} exceeds permutation-search cap {cap}")
-    best_gap = -math.inf
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(k)):
-        sigma = SymbolMap(perm)
-        q0, q1 = compute_q0_q1(p_x, ch, sigma)
-        gap = q0 - q1
-        if gap > best_gap + PMF_TOL:
-            best_gap, best = gap, perm
-    if best is None or best_gap <= PMF_TOL:
+    p_y = p_x.probs @ ch.rows
+    # cost[y, t] is minus the gap term of mapping read symbol y to t
+    cost = p_x.probs[None, :] * (p_y[:, None] - ch.rows.T)
+    rows = np.arange(k)
+    u, v, row_of, col_of = _assignment(cost)
+    total = float(cost[rows, col_of].sum())
+    if -total <= PMF_TOL:
         raise IndependentDatabases(
             "no symbol remapping separates correlated pairs; matching capacity is zero"
         )
-    return SymbolMap(best)
+    limit = total + PMF_TOL
+    live = np.ones(k, dtype=bool)
+    for y in range(k):
+        # total + the reduced cost bounds every completion with map[y] = t
+        reduced = cost[y] - u[y] - v
+        for t in (live & (total + reduced <= limit)).nonzero()[0]:
+            if t == col_of[y]:
+                break
+            alt = [a.copy() for a in (u, v, row_of, col_of)]
+            _pin(cost, *alt, y, int(t), live)
+            alt_total = float(cost[rows, alt[3]].sum())
+            if alt_total <= limit:
+                u, v, row_of, col_of = alt
+                total = alt_total
+                break
+        live[col_of[y]] = False
+    return SymbolMap(col_of)
 
 
 def recommend_threshold(p0: float, p1: float, override: float | None = None) -> float:
@@ -310,98 +402,149 @@ def pipeline_scalars(
     p_x: Pmf,
     ch: Channel,
     tau_override: float | None = None,
-    sigma_cap: int = DEFAULT_SIGMA_CAP,
 ) -> Scalars:
     """Bundle of every scalar the two detection stages consume."""
     p0, p1 = compute_p0_p1(p_x, ch)
-    sigma = find_best_sigma(p_x, ch, cap=sigma_cap)
+    sigma = find_best_sigma(p_x, ch)
     q0, q1 = compute_q0_q1(p_x, ch, sigma)
     tau = recommend_threshold(p0, p1, override=tau_override)
     return Scalars(p0=p0, p1=p1, sigma=sigma, q0=q0, q1=q1, tau=tau)
 
 
 # --- repeated-observation laws -------------------------------------------
+#
+# A read tuple y^s of one symbol enters every law only through its type,
+# the vector tau of its symbol counts: P(y^s | x) = prod_y W[x, y]^tau_y.
+# So a sum over the k^s tuples is a sum over the C(s+k-1, k-1) types, each
+# weighted by the multinomial count of its tuples (the method of types).
 
-def _tuple_laws(p_x: Pmf, ch: Channel, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint and marginal laws of an s-fold independent read.
+_TYPE_BLOCK_ENTRIES = 1 << 16
 
-    Returns (joint, marginal): joint[x, t] = p_x(x) * prod_l ch[x, y_l] and
-    marginal[t] = sum_x joint[x, t], with t ranging over the k^s tuples in
-    lexicographic order.  s = 0 yields the single empty tuple.
+
+def _read_types(k: int, s_max: int):
+    """Every read type of every count s <= s_max over k symbols, in blocks.
+
+    Stars and bars over k + 1 symbols, where the extra symbol k pads a
+    count-s read to length s_max: each type is one sorted padded tuple of
+    itertools.combinations_with_replacement, listed lazily.  Yields
+    (symbols, counts, s): symbols[b] is the sorted padded tuple of type b,
+    counts[b] its k symbol counts and s[b] its count.  A block holds about
+    _TYPE_BLOCK_ENTRIES entries of the largest array built from it.
     """
-    k = p_x.size
-    cond = np.ones((k, 1))
-    for _ in range(s):
-        cond = (cond[:, :, None] * ch.rows[:, None, :]).reshape(k, -1)
-    joint = p_x.probs[:, None] * cond
-    return joint, joint.sum(axis=0)
+    per_block = max(1, _TYPE_BLOCK_ENTRIES // ((k + 1) * (s_max + 1)))
+    lists = itertools.combinations_with_replacement(range(k + 1), s_max)
+    while True:
+        rows = list(itertools.islice(lists, per_block))
+        b = len(rows)
+        if b == 0:
+            return
+        flat = itertools.chain.from_iterable(rows)
+        block = np.fromiter(flat, dtype=np.intp, count=b * s_max).reshape(b, s_max)
+        cells = (block + np.arange(0, b * (k + 1), k + 1)[:, None]).ravel()
+        counts = np.bincount(cells, minlength=b * (k + 1)).reshape(b, k + 1)
+        yield block, counts[:, :k], s_max - counts[:, k]
+        if b < per_block:
+            return
 
 
-def _mutual_information_from_joint(joint: np.ndarray) -> float:
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    mask = joint > 0
-    ratio = joint[mask] / (np.outer(px, py)[mask])
-    return float((joint[mask] * np.log2(ratio)).sum())
+def _read_equivocations(p_x: Pmf, ch: Channel, s_max: int) -> np.ndarray:
+    """H(X | Y^s) for s = 0..s_max: the uncertainty about a symbol left
+    after an s-fold memoryless read of it, summed over read types.
+
+    H(X | Y^s) = -sum_tau multinom(s; tau) sum_x p(x, y) log2 p(x | y), with
+    y any one tuple of type tau.  log2 p(x, y) is log2 p_x(x) plus the sum
+    of log2 W[x, y_l] over the tuple (tau @ log2(W)^T), with zero entries
+    floored at LOG_ZERO; the posterior is normalised by a log-sum-exp over
+    x, so no probability underflows at large s.
+    """
+    log_w = np.zeros((ch.size + 1, ch.size))
+    log_w[:-1] = _safe_log2(ch.rows).T
+    log_px = _safe_log2(p_x.probs)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(s_max + 1)]) / math.log(2)
+    h = np.zeros(s_max + 1)
+    for symbols, counts, s in _read_types(p_x.size, s_max):
+        # log2 of p(x, y) times the multinomial, whose row constant
+        # cancels out of the posterior
+        log_joint = log_w[symbols].sum(axis=1) + log_px
+        log_joint += (log_fact[s] - log_fact[counts].sum(axis=1))[:, None]
+        log_post = log_joint - log_joint.max(axis=1, keepdims=True)
+        log_post -= np.log2(np.exp2(log_post).sum(axis=1, keepdims=True))
+        terms = (np.exp2(log_joint) * log_post).sum(axis=1)
+        h -= np.bincount(s, weights=terms, minlength=s_max + 1)
+    return h
+
+
+def _check_alphabets(p_x: Pmf, ch: Channel) -> None:
+    if p_x.size != ch.size:
+        raise ValidationError("alphabet size mismatch")
+
+
+def _repeat_informations(p_x: Pmf, ch: Channel, s_max: int) -> np.ndarray:
+    """I(X; Y^s) for s = 0..s_max, taken as H(X) - H(X | Y^s).
+
+    The equal form H(Y^s) - s * H(Y|X) subtracts two terms that grow with
+    s and loses about 1e-11 at s = 200.
+    """
+    _check_alphabets(p_x, ch)
+    info = entropy(p_x) - _read_equivocations(p_x, ch, s_max)
+    info[0] = 0.0
+    return info
 
 
 def repeat_mutual_information(p_x: Pmf, ch: Channel, s: int) -> float:
     """I(X; Y^s) for an s-fold memoryless read of the same symbol."""
-    if s == 0:
-        return 0.0
-    joint, _ = _tuple_laws(p_x, ch, s)
-    return _mutual_information_from_joint(joint)
+    return float(_repeat_informations(p_x, ch, s)[s])
 
 
-def _check_caps(p_x: Pmf, ch: Channel, p_s: Pmf, s_max_cap: int) -> None:
-    if p_x.size != ch.size:
-        raise ValidationError("alphabet size mismatch")
-    s_max = p_s.size - 1
-    if s_max > s_max_cap:
-        raise CapacityCapExceeded(
-            f"s_max={s_max} exceeds enumeration cap {s_max_cap}"
-        )
+def capacity_per_count(p_x: Pmf, p_s: Pmf, ch: Channel) -> dict[int, float]:
+    """The per-count terms p_s(s) * I(X;Y^s) keyed by repetition count."""
+    terms = p_s.probs * _repeat_informations(p_x, ch, p_s.size - 1)
+    return dict(enumerate(terms.tolist()))
 
 
-def capacity(p_x: Pmf, p_s: Pmf, ch: Channel, s_max_cap: int = DEFAULT_SMAX_CAP) -> float:
+def capacity(p_x: Pmf, p_s: Pmf, ch: Channel) -> float:
     """Matching capacity in bits per column.
 
-    Computed as sum_s p_s(s) * I(X; Y^s); the repetition count is drawn
-    independently of the source, so conditioning on it decomposes the
-    mutual information of the pair (read tuple, count) against the symbol.
+    Computed as sum_s p_s(s) * I(X; Y^s), the sum of the per-count terms;
+    the repetition count is drawn independently of the source, so
+    conditioning on it decomposes the mutual information of the pair (read
+    tuple, count) against the symbol.
     """
-    _check_caps(p_x, ch, p_s, s_max_cap)
-    return float(
-        sum(
-            p_s[s] * repeat_mutual_information(p_x, ch, s)
-            for s in range(p_s.size)
-            if p_s[s] > 0
-        )
-    )
+    return float(sum(capacity_per_count(p_x, p_s, ch).values()))
 
 
-def capacity_direct(p_x: Pmf, p_s: Pmf, ch: Channel, s_max_cap: int = DEFAULT_SMAX_CAP) -> float:
-    """Cross-check oracle: the same capacity from the flattened joint law.
+def capacity_direct(p_x: Pmf, p_s: Pmf, ch: Channel) -> float:
+    """Cross-check: the same capacity from the flattened joint law.
 
-    Materializes p(x, (s, y^s)) over the mixed-length tuple alphabet and
-    evaluates the mutual information directly, sharing no code path with
-    the per-count decomposition above.
+    The mutual information of the joint p(x, (s, tau)) of symbol against
+    (repetition count, read type), taken blockwise from that joint's own
+    marginals as H(X) + H(S,T) - H(X,S,T).  The joint is formed from
+    probabilities, as products of channel entries with multinomial counts
+    from Pascal's triangle, so it shares no arithmetic with the per-count
+    decomposition, which works with log-probabilities and posteriors.
+    Raises ValidationError where a multinomial count overflows float64:
+    always from s_max = 1030 on (Pascal's triangle itself), and earlier on
+    larger alphabets, where a count reaches about k^s.
     """
-    _check_caps(p_x, ch, p_s, s_max_cap)
-    blocks = []
-    for s in range(p_s.size):
-        joint_s, _ = _tuple_laws(p_x, ch, s)
-        blocks.append(p_s[s] * joint_s)
-    joint = np.concatenate(blocks, axis=1)
-    return _mutual_information_from_joint(joint)
-
-
-def capacity_per_count(
-    p_x: Pmf, p_s: Pmf, ch: Channel, s_max_cap: int = DEFAULT_SMAX_CAP
-) -> dict[int, float]:
-    """The per-count terms p_s(s) * I(X;Y^s) keyed by repetition count."""
-    _check_caps(p_x, ch, p_s, s_max_cap)
-    return {
-        s: p_s[s] * repeat_mutual_information(p_x, ch, s)
-        for s in range(p_s.size)
-    }
+    _check_alphabets(p_x, ch)
+    s_max = p_s.size - 1
+    if s_max > 1029:
+        raise ValidationError(f"s_max={s_max} overflows the multinomial counts (at most 1029)")
+    w = np.ones((ch.size + 1, ch.size))
+    w[:-1] = ch.rows.T
+    pascal = np.zeros((s_max + 1, s_max + 1))
+    pascal[:, 0] = 1.0
+    for r in range(1, s_max + 1):
+        pascal[r, 1:] = pascal[r - 1, 1:] + pascal[r - 1, :-1]
+    marginal_x = np.zeros(p_x.size)
+    plogp_st = plogp_xst = 0.0
+    for symbols, counts, s in _read_types(p_x.size, s_max):
+        mult = pascal[np.cumsum(counts, axis=1), counts].prod(axis=1)
+        cond = w[symbols].prod(axis=1)
+        joint = (p_s.probs[s] * mult)[:, None] * cond * p_x.probs
+        if not np.isfinite(joint).all():
+            raise ValidationError(f"multinomial counts overflow at s_max={s_max}, k={p_x.size}")
+        marginal_x += joint.sum(axis=0)
+        plogp_xst += _plogp(joint)
+        plogp_st += _plogp(joint.sum(axis=1))
+    return plogp_xst - plogp_st - _plogp(marginal_x)

@@ -56,6 +56,21 @@ def test_capacity_no_sync_errors_closed_form(tmp_path, capsys):
     assert blob["crossCheck"] == pytest.approx(blob["capacity"], abs=1e-10)
 
 
+def test_capacity_beyond_four_repetitions(tmp_path, capsys):
+    path = write_config(tmp_path, pS=[0.1, 0.2, 0.2, 0.2, 0.2, 0.1])
+    assert main(["capacity", "--config", path, "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["crossCheck"] == pytest.approx(blob["capacity"], abs=1e-12)
+    assert set(blob["perCount"]) == {"0", "1", "2", "3", "4", "5"}
+    assert main(["capacity", "--config", path]) == 0
+
+
+def test_capacity_cross_check_rejects_nan(config_path, capsys, monkeypatch):
+    monkeypatch.setattr("dbmatch.probability.capacity_direct", lambda *args: float("nan"))
+    assert main(["capacity", "--config", config_path]) == 2
+    assert "cross-check failed" in capsys.readouterr().err
+
+
 def test_simulate_json_and_csv(config_path, capsys):
     assert main(["simulate", "--config", config_path]) == 0
     records = json.loads(capsys.readouterr().out)

@@ -125,6 +125,28 @@ def test_paper_scale_deletion_trials_complete():
     assert sum(r.deletion_ok for r in records) >= 9
 
 
+def test_trial_over_sixteen_symbols_completes():
+    # the remapping is an assignment solve, so alphabets above 8 run end to end;
+    # sMaxCap is no longer a config key and is ignored like any unknown key
+    k = 16
+    channel = 0.9 * np.eye(k) + 0.1 / k
+    data = {key: v for key, v in BASE.items() if key != "rate"}
+    cfg = config_from_dict(
+        data
+        | {
+            "alphabetSize": k,
+            "pX": [1.0 / k] * k,
+            "channel": channel.tolist(),
+            "n": 10,
+            "m": 64,
+            "sMaxCap": 4,
+        }
+    )
+    rec = run_trial(cfg, trial_seed_sequence(cfg.master_seed, 0), 0)
+    assert rec.infrastructure_failure is None
+    assert rec.error_rate is not None
+
+
 def test_trial_independent_channel_is_infrastructure():
     cfg = make_config(channel=[[0.5, 0.5], [0.5, 0.5]])
     rec = run_trial(cfg, trial_seed_sequence(cfg.master_seed, 0), 0)

@@ -35,7 +35,7 @@ from dbmatch.model import (
     sample_pattern,
     substreams,
 )
-from dbmatch.probability import Channel, Pmf
+from dbmatch.probability import Channel, Pmf, capacity
 
 
 P_X = Pmf.uniform(2)
@@ -140,10 +140,10 @@ def test_triple_law_entropies():
     assert law.h_source == pytest.approx(1.0, abs=1e-12)
     assert law.h_observed == pytest.approx(2.489498410945818, abs=1e-12)
     assert law.h_joint == pytest.approx(3.0013704501755436, abs=1e-12)
-    assert law.mutual_information == pytest.approx(0.48812796077027465, abs=1e-12)
-    # consistency: H(X) + H(Y^S,S) - H(X,Y^S,S) == I
+    assert capacity(P_X, P_S, CH) == pytest.approx(0.48812796077027465, abs=1e-12)
+    # consistency: H(X) + H(Y^S,S) - H(X,Y^S,S) == I, the capacity value
     assert law.h_source + law.h_observed - law.h_joint == pytest.approx(
-        law.mutual_information, abs=1e-9
+        capacity(P_X, P_S, CH), abs=1e-9
     )
 
 

@@ -2,18 +2,16 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dbmatch.errors import (
-    AlphabetTooLarge,
-    CapacityCapExceeded,
-    DegenerateGap,
-    IndependentDatabases,
-    ValidationError,
-)
+from dbmatch.errors import DegenerateGap, IndependentDatabases, ValidationError
+from dbmatch.matcher import TripleLaw, TypicalityParams
 from dbmatch.probability import (
+    PMF_TOL,
     Channel,
     Pmf,
     Scalars,
@@ -200,9 +198,99 @@ def test_find_best_sigma_independent_raises():
         find_best_sigma(Pmf.uniform(2), Channel([[0.5, 0.5], [0.5, 0.5]]))
 
 
-def test_find_best_sigma_alphabet_cap():
-    with pytest.raises(AlphabetTooLarge):
-        find_best_sigma(Pmf.uniform(9), Channel.identity(9))
+def test_find_best_sigma_large_alphabets():
+    assert find_best_sigma(Pmf.uniform(9), Channel.identity(9)).map.tolist() == list(range(9))
+    k = 256
+    reversed_identity = Channel(np.eye(k)[::-1])
+    sigma = find_best_sigma(Pmf.uniform(k), reversed_identity)
+    assert sigma.map.tolist() == list(range(k - 1, -1, -1))
+
+
+def naive_best_sigma(p_x, ch):
+    """Exhaustive search over all k! remappings; a later permutation replaces
+    the best so far only when its gap is larger by more than PMF_TOL."""
+    k = p_x.size
+    best_gap = -math.inf
+    best = None
+    for perm in itertools.permutations(range(k)):
+        q0, q1 = compute_q0_q1(p_x, ch, SymbolMap(perm))
+        gap = q0 - q1
+        if gap > best_gap + PMF_TOL:
+            best_gap, best = gap, perm
+    if best is None or best_gap <= PMF_TOL:
+        raise IndependentDatabases("no remapping separates correlated pairs")
+    return list(best)
+
+
+def window_rows(k, w):
+    rows = np.zeros((k, k))
+    for x in range(k):
+        for d in range(w):
+            rows[x, (x + d) % k] = 1.0 / w
+    return rows
+
+
+def random_pmf_with_zeros(rng, k):
+    v = rng.random(k) * (rng.random(k) > 0.25)
+    v[rng.integers(k)] += 0.1
+    return v / v.sum()
+
+
+def sigma_oracle_cases():
+    """(label, p_x, channel) triples with k from 1 to 7, ties included."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for k in range(1, 8):
+        reps = 30 if k < 7 else 12
+        for r in range(reps):
+            rows = np.array([random_pmf_with_zeros(rng, k) for _ in range(k)])
+            p_x = Pmf(random_pmf_with_zeros(rng, k) if r % 2 else np.full(k, 1.0 / k))
+            cases.append(("random", p_x, Channel(rows)))
+        if k == 1:
+            continue
+        edge = (k - 1) / k
+        for crossover in (0.0, 0.3 * edge, 0.9 * edge, edge, min(1.0, 1.1 * edge), 1.0):
+            for p_x in (Pmf.uniform(k), Pmf(random_pmf_with_zeros(rng, k))):
+                cases.append(("symmetric", p_x, Channel.symmetric(k, crossover)))
+        for w in range(1, k + 1):
+            cases.append(("window", Pmf.uniform(k), Channel(window_rows(k, w))))
+        for _ in range(2):
+            rows = np.array([random_pmf_with_zeros(rng, k) for _ in range(k)])
+            rows[1] = rows[0]
+            cases.append(("repeated-row", Pmf(random_pmf_with_zeros(rng, k)), Channel(rows)))
+            row = random_pmf_with_zeros(rng, k)
+            cases.append(("independent", Pmf(random_pmf_with_zeros(rng, k)), Channel([row] * k)))
+    return cases
+
+
+def test_find_best_sigma_equals_exhaustive_oracle():
+    cases = sigma_oracle_cases()
+    assert len(cases) >= 300
+    raised = 0
+    for label, p_x, ch in cases:
+        try:
+            want = naive_best_sigma(p_x, ch)
+        except IndependentDatabases:
+            raised += 1
+            with pytest.raises(IndependentDatabases):
+                find_best_sigma(p_x, ch)
+            continue
+        assert find_best_sigma(p_x, ch).map.tolist() == want, (label, p_x.probs, ch.rows)
+    # the independent, width-k window and crossover-(k-1)/k cases
+    assert raised >= 30
+
+
+@pytest.mark.parametrize("k", [16, 64, 256])
+def test_find_best_sigma_reaches_assignment_optimum(k):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(k)
+    p_x = Pmf(random_pmf_with_zeros(rng, k))
+    ch = Channel(np.array([random_pmf_with_zeros(rng, k) for _ in range(k)]))
+    p_y = p_x.probs @ ch.rows
+    gain = p_x.probs[None, :] * (ch.rows.T - p_y[:, None])
+    rows, cols = optimize.linear_sum_assignment(gain, maximize=True)
+    q0, q1 = compute_q0_q1(p_x, ch, find_best_sigma(p_x, ch))
+    assert q0 - q1 == pytest.approx(gain[rows, cols].sum(), abs=1e-12)
 
 
 # --- capacity ---------------------------------------------------------------
@@ -270,9 +358,111 @@ def test_capacity_per_count_terms_sum():
     assert sum(per.values()) == pytest.approx(capacity(p_x, p_s, ch), abs=1e-14)
 
 
-def test_capacity_smax_cap():
-    with pytest.raises(CapacityCapExceeded):
-        capacity(Pmf.uniform(2), Pmf([0.0] * 6 + [1.0]), Channel.identity(2))
+def test_capacity_large_smax_closed_forms():
+    rng = np.random.default_rng(50)
+    p_x = Pmf([0.1, 0.2, 0.3, 0.4])
+    w = rng.random(51) + 0.01
+    p_s = Pmf(w / w.sum())
+    assert capacity(p_x, p_s, Channel.identity(4)) == pytest.approx(
+        (1.0 - p_s[0]) * entropy(p_x), abs=IDENTITY_TOL
+    )
+    # I(X; Y^s) = term / p_s(s); rounding is monotone, so the checks hold exactly
+    bsc = Channel.symmetric(2, 0.1)
+    p_s = Pmf(np.full(201, 1.0 / 201))
+    terms = capacity_per_count(Pmf.uniform(2), p_s, bsc)
+    info = [terms[s] / p_s[s] for s in range(201)]
+    assert max(info) <= 1.0
+    assert all(b >= a for a, b in zip(info, info[1:]))
+    assert info[200] == pytest.approx(1.0, abs=1e-12)
+    assert info[200] == pytest.approx(repeat_mutual_information(Pmf.uniform(2), bsc, 200), abs=1e-15)
+
+
+def test_capacity_at_s_max_200_is_fast():
+    start = time.perf_counter()
+    cap = capacity(Pmf.uniform(2), Pmf([0.0] * 200 + [1.0]), Channel.symmetric(2, 0.1))
+    assert time.perf_counter() - start < 1.0
+    assert cap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_capacity_direct_refuses_overflowing_multinomials():
+    p_s = Pmf([0.0] * 1030 + [1.0])
+    with pytest.raises(ValidationError, match="overflow"):
+        capacity_direct(Pmf.uniform(2), p_s, Channel.symmetric(2, 0.1))
+
+
+def test_capacity_and_typicality_law_memory_at_k16_smax6():
+    rng = np.random.default_rng(16)
+    p_x = Pmf(random_pmf_with_zeros(rng, 16))
+    ch = Channel(np.array([random_pmf_with_zeros(rng, 16) for _ in range(16)]))
+    p_s = Pmf(np.full(7, 1.0 / 7))
+    tracemalloc.start()
+    try:
+        capacity(p_x, p_s, ch)
+        TypicalityParams.from_components(p_x, ch, p_s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+# --- tuple-level oracle for the type-based laws -------------------------------
+
+def naive_tuple_joint(p_x, ch, s):
+    """joint[x, t] = p_x(x) * prod_l ch[x, y_l] over the k^s read tuples t in
+    lexicographic order; s = 0 gives the single empty tuple."""
+    k = p_x.size
+    cond = np.ones((k, 1))
+    for _ in range(s):
+        cond = (cond[:, :, None] * ch.rows[:, None, :]).reshape(k, -1)
+    return p_x.probs[:, None] * cond
+
+
+def naive_mutual_information(joint):
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    mask = joint > 0
+    return float((joint[mask] * np.log2(joint[mask] / np.outer(px, py)[mask])).sum())
+
+
+def naive_entropy(probs):
+    nz = probs[probs > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def tuple_oracle_cases():
+    """Every (k, s) with k^(s+1) <= 2^16, k from 1 to 8 and s from 0 to 6,
+    with zero entries in the source and in the channel rows."""
+    rng = np.random.default_rng(65536)
+    for k in range(1, 9):
+        for s in range(7):
+            if k ** (s + 1) > 2**16:
+                continue
+            for p_x in (Pmf.uniform(k), Pmf(random_pmf_with_zeros(rng, k))):
+                rows = np.array([random_pmf_with_zeros(rng, k) for _ in range(k)])
+                w = rng.random(s + 1) + 0.02
+                yield k, s, p_x, Channel(rows), Pmf(w / w.sum())
+
+
+def test_type_based_laws_equal_tuple_oracle():
+    seen = set()
+    for k, s, p_x, ch, p_s in tuple_oracle_cases():
+        seen.add((k, s))
+        joints = [naive_tuple_joint(p_x, ch, t) for t in range(s + 1)]
+        infos = [naive_mutual_information(j) for j in joints]
+        assert repeat_mutual_information(p_x, ch, s) == pytest.approx(infos[s], abs=1e-12)
+        per = capacity_per_count(p_x, p_s, ch)
+        for t in range(s + 1):
+            assert per[t] == pytest.approx(p_s[t] * infos[t], abs=1e-12)
+        flat = np.concatenate([p_s[t] * j for t, j in enumerate(joints)], axis=1)
+        want = naive_mutual_information(flat)
+        assert capacity(p_x, p_s, ch) == pytest.approx(want, abs=1e-12)
+        assert capacity_direct(p_x, p_s, ch) == pytest.approx(want, abs=1e-12)
+        h_observed = naive_entropy(p_s.probs) + sum(
+            p_s[t] * naive_entropy(joints[t].sum(axis=0)) for t in range(1, s + 1)
+        )
+        law = TripleLaw.from_components(p_x, ch, p_s)
+        assert law.h_observed == pytest.approx(h_observed, abs=1e-12)
+    assert len(seen) == 50
 
 
 # --- thresholds, seed sizes, bounds ----------------------------------------
