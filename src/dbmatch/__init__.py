@@ -42,10 +42,7 @@ from .matcher import (
     TypicalityParams,
     build_marked,
     evaluate,
-    is_jointly_typical,
     match_all,
-    ml_match_all,
-    triple_log_prob,
 )
 from .model import (
     GroundTruth,

@@ -175,18 +175,3 @@ def assemble_pattern(runs: RunStructure, dels: DeletionEstimate, n: int) -> Repe
             counts[j] = next(lengths)
     return RepetitionPattern(counts)
 
-
-def diagnostics(
-    hamming: np.ndarray,
-    tau: float,
-    runs: RunStructure,
-    dels: DeletionEstimate | None,
-) -> dict:
-    """JSON-ready dump of one detection pass (0-based indices)."""
-    return {
-        "hamming": [int(h) for h in hamming],
-        "tau": tau,
-        "runs": [[int(a), int(b)] for a, b in runs.runs],
-        "deletionSet": [int(i) for i in dels.indices] if dels is not None else [],
-        "minDistance": int(dels.min_distance) if dels is not None else 0,
-    }

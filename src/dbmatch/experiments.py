@@ -23,7 +23,6 @@ import numpy as np
 
 from . import detection, matcher, model, probability
 from .errors import (
-    DbMatchError,
     DegenerateGap,
     IndependentDatabases,
     MemoryCapExceeded,
@@ -189,6 +188,29 @@ class SweepResult:
 
 
 @functools.lru_cache(maxsize=64)
+def _params_cached(
+    px_bytes: bytes, ps_bytes: bytes, ch_bytes: bytes, k: int, epsilon: float | None
+):
+    p_x = Pmf(np.frombuffer(px_bytes))
+    ch = Channel(np.frombuffer(ch_bytes).reshape(k, k))
+    return matcher.TypicalityParams.from_components(
+        p_x, ch, Pmf(np.frombuffer(ps_bytes)), epsilon=epsilon
+    )
+
+
+def config_params(cfg: ExperimentConfig) -> matcher.TypicalityParams:
+    """Typicality window and law for a config; memoized, they are
+    trial-invariant (the law holds the capacity sum over read types)."""
+    return _params_cached(
+        cfg.p_x.probs.tobytes(),
+        cfg.p_s.probs.tobytes(),
+        cfg.channel.rows.tobytes(),
+        cfg.alphabet_size,
+        cfg.epsilon,
+    )
+
+
+@functools.lru_cache(maxsize=64)
 def _scalars_cached(px_bytes: bytes, ch_bytes: bytes, k: int, tau: float | None):
     p_x = Pmf(np.frombuffer(px_bytes))
     ch = Channel(np.frombuffer(ch_bytes).reshape(k, k))
@@ -216,22 +238,18 @@ def seed_batch_size(cfg: ExperimentConfig) -> int:
     return probability.recommend_seed_size(cfg.n, k_hat_over_n, scalars.q0, scalars.q1)
 
 
-def _trial_streams(trial_ss: np.random.SeedSequence) -> tuple[np.random.Generator, ...]:
-    return tuple(np.random.default_rng(c) for c in trial_ss.spawn(6))
-
-
 def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: int = 0) -> TrialRecord:
     """One end-to-end pipeline pass: generate, detect, assemble, match, score."""
     t0 = time.perf_counter()
-    rng_db, rng_pat, rng_lab, rng_noise, rng_seeds, rng_rows = _trial_streams(trial_ss)
+    st = model.substreams(trial_ss)
     try:
         scalars = config_scalars(cfg)
         m = cfg.rows
-        d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, rng_db, entry_cap=cfg.entry_cap)
-        pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
-        labeling = model.sample_labeling(m, rng_lab)
+        d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, st.database, entry_cap=cfg.entry_cap)
+        pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
+        labeling = model.sample_labeling(m, st.labeling)
         d2 = model.apply_repetition_noise(
-            d1, pattern, labeling, cfg.channel, rng_noise, entry_cap=cfg.entry_cap
+            d1, pattern, labeling, cfg.channel, st.noise, entry_cap=cfg.entry_cap
         )
 
         runs = detection.detect_replicas(d2, scalars.tau)
@@ -239,7 +257,7 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
 
         b = seed_batch_size(cfg)
         seeds = model.generate_seeds(
-            b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds, entry_cap=cfg.entry_cap
+            b, cfg.n, cfg.p_x, pattern, cfg.channel, st.seeds, entry_cap=cfg.entry_cap
         )
         g2_collapsed = detection.collapse_runs(seeds.g2, runs)
         dels = detection.detect_deletions(seeds.g1, g2_collapsed, scalars.sigma)
@@ -249,13 +267,10 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
         pattern_ok = bool(np.array_equal(s_hat.counts, pattern.counts))
 
         marked = matcher.build_marked(d2, s_hat)
-        params = matcher.TypicalityParams.from_components(
-            cfg.p_x, cfg.channel, cfg.p_s, epsilon=cfg.epsilon
-        )
         rows = None
         if cfg.match_rows is not None and cfg.match_rows < m:
-            rows = np.sort(rng_rows.choice(m, size=cfg.match_rows, replace=False))
-        report = matcher.match_all(d1, marked, params, match_rows=rows)
+            rows = np.sort(st.rows.choice(m, size=cfg.match_rows, replace=False))
+        report = matcher.match_all(d1, marked, config_params(cfg), match_rows=rows)
         report = matcher.evaluate(report, model.GroundTruth(pattern, labeling))
         return TrialRecord(
             index=index,
@@ -428,12 +443,12 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
         bounds = []
         for t in range(cfg.trials):
             ss = model.trial_seed_sequence(cfg.master_seed, 0, mi, t)
-            rng_db, rng_pat, _, rng_noise, _, _ = _trial_streams(ss)
-            d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, rng_db, entry_cap=cfg.entry_cap)
-            pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
+            st = model.substreams(ss)
+            d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, st.database, entry_cap=cfg.entry_cap)
+            pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
             labeling = model.Labeling(np.arange(m))
             d2 = model.apply_repetition_noise(
-                d1, pattern, labeling, cfg.channel, rng_noise, entry_cap=cfg.entry_cap
+                d1, pattern, labeling, cfg.channel, st.noise, entry_cap=cfg.entry_cap
             )
             runs = detection.detect_replicas(d2, scalars.tau)
             successes += runs == detection.true_runs(pattern)
@@ -451,10 +466,10 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
         successes = 0
         for t in range(cfg.trials):
             ss = model.trial_seed_sequence(cfg.master_seed, 1, bi, t)
-            _, rng_pat, _, _, rng_seeds, _ = _trial_streams(ss)
-            pattern = model.sample_pattern(cfg.n, cfg.p_s, rng_pat)
+            st = model.substreams(ss)
+            pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
             seeds = model.generate_seeds(
-                b, cfg.n, cfg.p_x, pattern, cfg.channel, rng_seeds, entry_cap=cfg.entry_cap
+                b, cfg.n, cfg.p_x, pattern, cfg.channel, st.seeds, entry_cap=cfg.entry_cap
             )
             g2c = detection.collapse_runs(seeds.g2, detection.true_runs(pattern))
             dels = detection.detect_deletions(seeds.g1, g2c, scalars.sigma)

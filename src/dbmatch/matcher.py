@@ -6,16 +6,13 @@ rows to the unique source row that is jointly typical with it under the
 Typicality is the weak, entropy-based flavor: the three empirical
 per-column log-probability averages (source side, observed side, joint)
 must each lie within epsilon of the corresponding entropy; any zero
-probability factor rejects outright.  A likelihood argmax decoder is
-included as a diagnostic baseline; it is not part of the standard
-pipeline.
+probability factor rejects outright.
 
 Row scans are pure and parallelize over matched rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +21,9 @@ from .errors import ArityMismatch, ValidationError
 from .model import GroundTruth, LabeledDatabase, RepetitionPattern, UnlabeledDatabase
 from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
 
-_SCAN_BLOCK_ROWS = 131_072
+# score entries (matched rows x source rows) per block of the scan; each
+# float64 block array takes 16 MiB
+_SCAN_BLOCK_ENTRIES = 1 << 21
 
 OUTCOME_CORRECT = "matched-correct"
 OUTCOME_WRONG = "matched-wrong"
@@ -44,9 +43,10 @@ def _count_log_table(p_s: Pmf, max_count: int) -> np.ndarray:
 class MarkedDatabase:
     """The shuffled view segmented into per-source-column cells.
 
-    Cell (i, j) is the length counts[j] slice of row i; a zero count marks
-    an erasure.  Concatenating the non-erased cells of a row reproduces
-    the flat row exactly, by construction.
+    Cell (i, j) is the length counts[j] slice of row i starting at column
+    offsets[j]; a zero count marks an erasure.  Concatenating the
+    non-erased cells of a row reproduces the flat row exactly, by
+    construction.
     """
 
     entries: np.ndarray
@@ -60,16 +60,6 @@ class MarkedDatabase:
     @property
     def n(self) -> int:
         return int(self.counts.shape[0])
-
-    def is_erased(self, j: int) -> bool:
-        return self.counts[j] == 0
-
-    def cell(self, i: int, j: int) -> np.ndarray:
-        off = int(self.offsets[j])
-        return self.entries[i, off : off + int(self.counts[j])]
-
-    def row_cells(self, i: int) -> list[np.ndarray]:
-        return [self.cell(i, j) for j in range(self.n)]
 
 
 def build_marked(d2: LabeledDatabase, s_hat: RepetitionPattern) -> MarkedDatabase:
@@ -139,92 +129,6 @@ class TypicalityParams:
         return TypicalityParams(epsilon=epsilon, law=law)
 
 
-def triple_log_prob(x: int, cell, s: int, p_x: Pmf, ch: Channel, p_s: Pmf) -> float:
-    """log2 of the joint mass of one (symbol, cell, count) triple.
-
-    Returns -inf when any factor vanishes.  An erased cell (s = 0) carries
-    only the count and source factors; the erasure marker itself has no
-    alphabet mass.
-    """
-    cell = np.asarray(cell, dtype=np.int64).reshape(-1)
-    if cell.shape[0] != s:
-        raise ValidationError(f"cell length {cell.shape[0]} inconsistent with count {s}")
-    total = 0.0
-    p_count = p_s[s] if s < p_s.size else 0.0
-    for p in (p_count, p_x[x]):
-        if p <= 0:
-            return float("-inf")
-        total += math.log2(p)
-    for y in cell:
-        p = float(ch.rows[x, y])
-        if p <= 0:
-            return float("-inf")
-        total += math.log2(p)
-    return total
-
-
-def observed_log_prob(cell, s: int, p_x: Pmf, ch: Channel, p_s: Pmf) -> float:
-    """log2 of the observed-side mass of one (cell, count) pair."""
-    cell = np.asarray(cell, dtype=np.int64).reshape(-1)
-    if cell.shape[0] != s:
-        raise ValidationError(f"cell length {cell.shape[0]} inconsistent with count {s}")
-    p_count = p_s[s] if s < p_s.size else 0.0
-    if p_count <= 0:
-        return float("-inf")
-    total = math.log2(p_count)
-    if s > 0:
-        mass = 0.0
-        for x in range(p_x.size):
-            px = p_x[x]
-            if px <= 0:
-                continue
-            mass += px * float(np.prod(ch.rows[x, cell]))
-        if mass <= 0:
-            return float("-inf")
-        total += math.log2(mass)
-    return total
-
-
-def is_jointly_typical(
-    x_row: np.ndarray,
-    y_row: np.ndarray,
-    s_hat: np.ndarray,
-    params: TypicalityParams,
-) -> bool:
-    """Weak joint typicality of one (source row, segmented row) pair.
-
-    y_row is the flat observed row; s_hat gives the per-column cell
-    lengths.  All three empirical averages must fall within epsilon of
-    their entropies; any zero-probability factor fails immediately.
-    """
-    law = params.law
-    n = len(s_hat)
-    if len(x_row) != n:
-        raise ValidationError("source row arity inconsistent with the count estimate")
-    sum_src = 0.0
-    sum_obs = 0.0
-    sum_joint = 0.0
-    off = 0
-    for j in range(n):
-        s = int(s_hat[j])
-        cell = y_row[off : off + s]
-        off += s
-        lp_joint = triple_log_prob(int(x_row[j]), cell, s, law.p_x, law.ch, law.p_s)
-        lp_obs = observed_log_prob(cell, s, law.p_x, law.ch, law.p_s)
-        px = law.p_x[int(x_row[j])]
-        if not math.isfinite(lp_joint) or not math.isfinite(lp_obs) or px <= 0:
-            return False
-        sum_src += math.log2(px)
-        sum_obs += lp_obs
-        sum_joint += lp_joint
-    eps = params.epsilon
-    return (
-        abs(-sum_src / n - law.h_source) < eps
-        and abs(-sum_obs / n - law.h_observed) < eps
-        and abs(-sum_joint / n - law.h_joint) < eps
-    )
-
-
 @dataclass(frozen=True)
 class MatchReport:
     """Outcome of matching a set of shuffled rows against the source rows.
@@ -277,13 +181,14 @@ def _match_rows_against_source(
     marked: MarkedDatabase,
     params: TypicalityParams,
     rows: np.ndarray,
-    stop_when_saturated: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan every source row for each requested shuffled row.
 
-    Returns (accept counts, unique candidate index or -1) per row.  When
-    stop_when_saturated is set the scan ends once every row has at least
-    two accepted candidates, which cannot change any outcome.
+    Returns (accept counts, unique candidate index or -1) per row.  Source
+    rows are scored in blocks of about _SCAN_BLOCK_ENTRIES scores, and the
+    scan ends once every row has at least two accepted candidates; neither
+    changes any outcome, which reads a count only as 0, 1 or more, and the
+    unique candidate is the first accepted row.
     """
     law = params.law
     eps = params.epsilon
@@ -298,8 +203,9 @@ def _match_rows_against_source(
     counts = np.zeros(n_rows, dtype=np.int64)
     unique_idx = np.full(n_rows, -1, dtype=np.int64)
     x_all = d1.entries
-    for lo in range(0, d1.m, _SCAN_BLOCK_ROWS):
-        hi = min(d1.m, lo + _SCAN_BLOCK_ROWS)
+    block = max(1, _SCAN_BLOCK_ENTRIES // max(1, n_rows))
+    for lo in range(0, d1.m, block):
+        hi = min(d1.m, lo + block)
         x_blk = x_all[lo:hi]
         src_terms = lp_x[x_blk].sum(axis=1)
         src_ok = np.abs(-src_terms / n - law.h_source) < eps
@@ -317,7 +223,7 @@ def _match_rows_against_source(
         newly = (counts == 0) & (blk_counts > 0)
         unique_idx[newly] = lo + first[newly]
         counts += blk_counts
-        if stop_when_saturated and counts.min() >= 2:
+        if np.all(counts >= 2):
             break
     unique_idx[counts != 1] = -1
     return counts, unique_idx
@@ -342,9 +248,7 @@ def match_all(
         rows = np.arange(marked.m)
     else:
         rows = np.asarray(match_rows, dtype=np.int64)
-    counts, unique_idx = _match_rows_against_source(
-        d1, marked, params, rows, stop_when_saturated=True
-    )
+    counts, unique_idx = _match_rows_against_source(d1, marked, params, rows)
     outcomes = []
     assignment: dict[int, int] = {}
     for pos, row in enumerate(rows):
@@ -383,46 +287,6 @@ def evaluate(report: MatchReport, truth: GroundTruth) -> MatchReport:
         outcomes=tuple(outcomes),
         assignment=dict(report.assignment),
         error_rate=wrong / len(outcomes) if outcomes else 0.0,
-    )
-
-
-def ml_match_all(
-    d1: UnlabeledDatabase,
-    marked: MarkedDatabase,
-    params: TypicalityParams,
-    match_rows: np.ndarray | None = None,
-) -> MatchReport:
-    """Diagnostic likelihood decoder: argmax of the summed triple log mass.
-
-    Baseline only; the standard pipeline uses the typicality rule above,
-    which this deliberately does not reproduce (no uniqueness test).
-    """
-    law = params.law
-    if match_rows is None:
-        rows = np.arange(marked.m)
-    else:
-        rows = np.asarray(match_rows, dtype=np.int64)
-    lp_x = _safe_log2(law.p_x.probs)
-    lp_ch = _safe_log2(law.ch.rows)
-    _, s_const, cnt = _observed_side_stats(marked, rows, law)
-    best = np.full(len(rows), -np.inf)
-    best_idx = np.zeros(len(rows), dtype=np.int64)
-    for lo in range(0, d1.m, _SCAN_BLOCK_ROWS):
-        hi = min(d1.m, lo + _SCAN_BLOCK_ROWS)
-        x_blk = d1.entries[lo:hi]
-        scores = np.zeros((len(rows), hi - lo))
-        for sym in range(law.p_x.size):
-            scores += cnt[sym] @ lp_ch[x_blk, sym].T
-        scores += s_const + lp_x[x_blk].sum(axis=1)[None, :]
-        blk_best = scores.max(axis=1)
-        improved = blk_best > best
-        best_idx[improved] = lo + np.argmax(scores, axis=1)[improved]
-        best[improved] = blk_best[improved]
-    assignment = {int(r): int(i) for r, i in zip(rows, best_idx)}
-    return MatchReport(
-        matched_rows=tuple(int(r) for r in rows),
-        outcomes=tuple("matched" for _ in rows),
-        assignment=assignment,
     )
 
 

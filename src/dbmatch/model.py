@@ -2,9 +2,10 @@
 noisy repeated view, and seed rows, with ground truth kept for scoring.
 
 The attacker-visible view stores its columns flat; run boundaries and the
-row permutation live only in the GroundTruth record.  A single 64-bit
-master seed expands into named substreams so that every artifact of a
-trial is reproducible within this implementation.
+row permutation live only in the GroundTruth record.  A seed (a 64-bit
+integer or a trial's SeedSequence) expands into six named substreams, one
+per random choice of a trial, so that every artifact of a trial is
+reproducible within this implementation.
 
 All returned objects are immutable after construction and safe to share
 across threads; generation itself draws from the caller's Generator.
@@ -27,18 +28,25 @@ _NOISE_TILE_ENTRIES = 1 << 15
 
 
 class Substreams(NamedTuple):
-    """Named independent generators derived from one master seed."""
+    """Named independent generators derived from one seed: the source
+    database, the repetition pattern, the row labeling, the channel noise,
+    the seed rows, and the sample of shuffled rows a trial matches."""
 
     database: np.random.Generator
     pattern: np.random.Generator
     labeling: np.random.Generator
     noise: np.random.Generator
     seeds: np.random.Generator
+    rows: np.random.Generator
 
 
-def substreams(master_seed: int) -> Substreams:
-    children = np.random.SeedSequence(master_seed).spawn(5)
-    return Substreams(*(np.random.default_rng(c) for c in children))
+def substreams(seed: int | np.random.SeedSequence) -> Substreams:
+    """Child i of the seed's SeedSequence drives field i.  A SeedSequence
+    is spawned from directly, which advances its spawn counter: a second
+    call with the same object returns fresh streams."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return Substreams(*(np.random.default_rng(c) for c in seed.spawn(len(Substreams._fields))))
 
 
 def trial_seed_sequence(master_seed: int, *indices: int) -> np.random.SeedSequence:

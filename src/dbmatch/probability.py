@@ -89,11 +89,6 @@ class Channel:
     def size(self) -> int:
         return int(self.rows.shape[0])
 
-    def output_marginal(self, p_x: Pmf) -> Pmf:
-        if p_x.size != self.size:
-            raise ValidationError("alphabet size mismatch between source and channel")
-        return Pmf(p_x.probs @ self.rows)
-
     @staticmethod
     def identity(k: int) -> "Channel":
         return Channel(np.eye(k))

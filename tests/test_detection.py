@@ -1,7 +1,5 @@
 """Detection stages: run recovery, deletion search, pattern assembly."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from dbmatch.detection import (
     consecutive_hamming,
     detect_deletions,
     detect_replicas,
-    diagnostics,
     true_runs,
 )
 from dbmatch.errors import ArityMismatch, RunMismatch, ValidationError
@@ -27,6 +24,7 @@ from dbmatch.model import (
     substreams,
 )
 from dbmatch.probability import Channel, Pmf, SymbolMap, pipeline_scalars
+from oracles import naive_deletion_search
 
 
 def labeled(rows):
@@ -174,24 +172,6 @@ def test_run_mismatch():
         )
 
 
-def naive_deletion_search(g1, g2_sigma):
-    """Independent plain-enumeration reference: loops, no mismatch table."""
-    n = g1.shape[1]
-    d = n - g2_sigma.shape[1]
-    best = None
-    best_set = None
-    for dels in itertools.combinations(range(n), d):
-        kept = [j for j in range(n) if j not in dels]
-        dist = 0
-        for pos, col in enumerate(kept):
-            for r in range(g1.shape[0]):
-                if g1[r, col] != g2_sigma[r, pos]:
-                    dist += 1
-        if best is None or dist < best:
-            best, best_set = dist, dels
-    return best_set, best
-
-
 def test_deletion_search_oracle_equivalence():
     # every deletion count, zero seed rows and 3-symbol alphabets; few
     # symbols and rows make distance ties common, which pins the tie-break
@@ -256,15 +236,6 @@ def test_assemble_ground_truth_roundtrip():
         dels = DeletionEstimate(tuple(int(i) for i in pat.deleted_indices))
         got = assemble_pattern(rs, dels, n)
         assert np.array_equal(got.counts, pat.counts)
-
-
-def test_diagnostics_shape():
-    d2 = labeled([[0, 0, 1], [1, 1, 0], [0, 0, 0]])
-    rs = detect_replicas(d2, 0.34)
-    blob = diagnostics(consecutive_hamming(d2), 0.34, rs, DeletionEstimate((1,), 0))
-    assert set(blob) == {"hamming", "tau", "runs", "deletionSet", "minDistance"}
-    assert blob["runs"] == [[0, 2], [2, 3]]
-    assert blob["deletionSet"] == [1]
 
 
 def test_run_structure_validation():

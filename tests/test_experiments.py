@@ -12,6 +12,7 @@ from dbmatch.experiments import (
     config_from_dict,
     detection_bench,
     records_to_csv,
+    records_to_json,
     run_sweep,
     run_trial,
     seed_batch_size,
@@ -178,6 +179,21 @@ def test_simulate_is_deterministic():
     b = simulate(cfg)
     assert [r.error_rate for r in a] == [r.error_rate for r in b]
     assert [r.pattern_ok for r in a] == [r.pattern_ok for r in b]
+
+
+def test_golden_records():
+    # records of a small fixed config, computed once and pinned: any change
+    # in how a stage consumes its random draws changes the error rates
+    data = dict(BASE, n=30, m=256, matchRows=32, trials=5, masterSeed=2024)
+    del data["rate"]
+    records = records_to_json(simulate(config_from_dict(data)))
+    for r in records:
+        del r["wallTime"]
+    flags = {"replicaOk": True, "deletionOk": True, "patternOk": True}
+    assert records == [
+        {"trial": t, **flags, "errorRate": err, "infrastructureFailure": None}
+        for t, err in enumerate([0.8125, 0.3125, 0.09375, 0.21875, 0.3125])
+    ]
 
 
 def test_match_rows_subsample():

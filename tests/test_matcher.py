@@ -1,11 +1,11 @@
 """Marked-view construction and the typicality matcher."""
 
-import itertools
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dbmatch import matcher
 from dbmatch.errors import ArityMismatch, ValidationError
 from dbmatch.matcher import (
     OUTCOME_AMBIGUOUS,
@@ -16,12 +16,8 @@ from dbmatch.matcher import (
     TypicalityParams,
     build_marked,
     evaluate,
-    is_jointly_typical,
     match_all,
-    ml_match_all,
-    observed_log_prob,
     report_to_json,
-    triple_log_prob,
 )
 from dbmatch.model import (
     GroundTruth,
@@ -36,6 +32,7 @@ from dbmatch.model import (
     substreams,
 )
 from dbmatch.probability import Channel, Pmf, capacity
+from oracles import naive_accept_set
 
 
 P_X = Pmf.uniform(2)
@@ -47,28 +44,35 @@ def labeled(rows):
     return LabeledDatabase(np.asarray(rows, dtype=np.uint8))
 
 
+def row_cells(marked, i):
+    return [
+        marked.entries[i, off : off + c] for off, c in zip(marked.offsets, marked.counts)
+    ]
+
+
 # --- marked view ---------------------------------------------------------------
 
 def test_build_marked_all_singletons():
     d2 = labeled([[0, 1, 0], [1, 1, 1]])
     marked = build_marked(d2, RepetitionPattern(np.array([1, 1, 1])))
-    assert not any(marked.is_erased(j) for j in range(3))
-    assert [c.tolist() for c in marked.row_cells(0)] == [[0], [1], [0]]
+    assert marked.offsets.tolist() == [0, 1, 2]
+    assert [c.tolist() for c in row_cells(marked, 0)] == [[0], [1], [0]]
 
 
 def test_build_marked_with_erasures():
     d2 = labeled([[7 % 2, 1, 0]])  # row (a, b, c) = (1, 1, 0)
     marked = build_marked(d2, RepetitionPattern(np.array([2, 0, 1])))
-    cells = marked.row_cells(0)
+    cells = row_cells(marked, 0)
     assert cells[0].tolist() == [1, 1]
-    assert cells[1].size == 0 and marked.is_erased(1)
+    assert cells[1].size == 0 and marked.counts[1] == 0
     assert cells[2].tolist() == [0]
 
 
 def test_build_marked_all_erased():
     d2 = labeled(np.zeros((3, 0)))
     marked = build_marked(d2, RepetitionPattern(np.zeros(4, dtype=np.int64)))
-    assert all(marked.is_erased(j) for j in range(4))
+    assert marked.counts.tolist() == [0, 0, 0, 0]
+    assert all(c.size == 0 for c in row_cells(marked, 2))
 
 
 def test_build_marked_arity_mismatch():
@@ -84,55 +88,11 @@ def test_build_marked_is_lossless():
         d2 = labeled(rng.integers(0, 2, size=(3, pat.total_columns)))
         marked = build_marked(d2, pat)
         for i in range(3):
-            flat = np.concatenate([c for c in marked.row_cells(i)] or [np.array([])])
+            flat = np.concatenate(row_cells(marked, i) or [np.array([])])
             assert np.array_equal(flat.astype(np.uint8), d2.entries[i])
 
 
-# --- per-column laws --------------------------------------------------------------
-
-def test_triple_log_prob_erased_branch():
-    lp = triple_log_prob(1, [], 0, P_X, CH, P_S)
-    assert lp == pytest.approx(math.log2(0.2) + math.log2(0.5))
-
-
-def test_triple_log_prob_impossible_transition():
-    assert triple_log_prob(0, [1], 1, P_X, Channel.identity(2), P_S) == -math.inf
-
-
-def test_triple_log_prob_product_branch():
-    lp = triple_log_prob(0, [0, 1], 2, P_X, CH, P_S)
-    assert lp == pytest.approx(math.log2(0.3) + math.log2(0.5 * 0.9 * 0.1))
-
-
-def test_triple_log_prob_count_outside_support():
-    assert triple_log_prob(0, [0, 0, 0], 3, P_X, CH, P_S) == -math.inf
-
-
-def test_triple_log_prob_sums_to_one():
-    # over all (x, s, y^s): sum of 2^logmass == 1
-    for p_x, ch, p_s in (
-        (P_X, CH, P_S),
-        (Pmf([0.6, 0.3, 0.1]), Channel.symmetric(3, 0.2), Pmf([0.1, 0.4, 0.3, 0.2])),
-    ):
-        total = 0.0
-        for x in range(p_x.size):
-            for s in range(p_s.size):
-                for cell in itertools.product(range(p_x.size), repeat=s):
-                    lp = triple_log_prob(x, list(cell), s, p_x, ch, p_s)
-                    if math.isfinite(lp):
-                        total += 2.0**lp
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_observed_log_prob_sums_to_one():
-    total = 0.0
-    for s in range(P_S.size):
-        for cell in itertools.product(range(2), repeat=s):
-            lp = observed_log_prob(list(cell), s, P_X, CH, P_S)
-            if math.isfinite(lp):
-                total += 2.0**lp
-    assert total == pytest.approx(1.0, abs=1e-10)
-
+# --- per-column law --------------------------------------------------------------
 
 def test_triple_law_entropies():
     law = TripleLaw.from_components(P_X, CH, P_S)
@@ -156,12 +116,22 @@ def test_default_epsilon_scales_with_joint_entropy():
 
 # --- typicality -------------------------------------------------------------------
 
+def is_typical(x_row, y_row, counts, params):
+    """Whether one (source row, flat view row) pair is jointly typical: a
+    one-row source matches the row exactly when it is."""
+    d1 = UnlabeledDatabase(np.asarray([x_row], dtype=np.uint8))
+    marked = build_marked(labeled([y_row]), RepetitionPattern(counts))
+    return match_all(d1, marked, params).outcomes == ("matched",)
+
+
 def test_zero_probability_transition_rejects():
     params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=0.5)
     x_row = np.array([0, 1, 0])
     y_row = np.array([0, 1, 1])
-    assert not is_jointly_typical(x_row, y_row, np.array([1, 1, 1]), params)
-    assert is_jointly_typical(x_row, x_row.copy(), np.array([1, 1, 1]), params)
+    assert not is_typical(x_row, y_row, np.array([1, 1, 1]), params)
+    assert is_typical(x_row, x_row.copy(), np.array([1, 1, 1]), params)
+    # a count beyond the support of pS carries zero mass too
+    assert not is_typical(x_row, np.array([0, 0, 1, 0]), np.array([2, 1, 1]), params)
 
 
 def test_true_pair_aep_acceptance():
@@ -174,49 +144,8 @@ def test_true_pair_aep_acceptance():
         d1 = generate_unlabeled(1, n, P_X, st.database)
         pat = sample_pattern(n, P_S, st.pattern)
         d2 = apply_repetition_noise(d1, pat, Labeling(np.arange(1)), CH, st.noise)
-        hits += is_jointly_typical(d1.entries[0], d2.entries[0], pat.counts, params)
+        hits += is_typical(d1.entries[0], d2.entries[0], pat.counts, params)
     assert hits / trials >= 1.0 - 2.0 * params.epsilon
-
-
-def naive_accept_set(x_rows, y_row, counts, p_x, ch, p_s, eps):
-    """Independent re-implementation of the three window conditions."""
-    accepted = []
-    n = len(counts)
-    for i, x_row in enumerate(x_rows):
-        src = obs = joint = 0.0
-        dead = False
-        off = 0
-        for j in range(n):
-            s = int(counts[j])
-            cell = [int(v) for v in y_row[off : off + s]]
-            off += s
-            px = p_x[int(x_row[j])]
-            ps = p_s[s] if s < p_s.size else 0.0
-            pcell_x = 1.0
-            pcell = 0.0
-            for xx in range(p_x.size):
-                term = p_x[xx]
-                for y in cell:
-                    term *= ch.rows[xx, y]
-                pcell += term
-            for y in cell:
-                pcell_x *= ch.rows[int(x_row[j]), y]
-            if px <= 0 or ps <= 0 or pcell_x <= 0 or pcell <= 0:
-                dead = True
-                break
-            src += math.log2(px)
-            obs += math.log2(ps) + math.log2(pcell)
-            joint += math.log2(ps) + math.log2(px) + math.log2(pcell_x)
-        if dead:
-            continue
-        law = TripleLaw.from_components(p_x, ch, p_s)
-        if (
-            abs(-src / n - law.h_source) < eps
-            and abs(-obs / n - law.h_observed) < eps
-            and abs(-joint / n - law.h_joint) < eps
-        ):
-            accepted.append(i)
-    return accepted
 
 
 def test_decoder_equivalence_with_enumeration():
@@ -242,6 +171,65 @@ def test_decoder_equivalence_with_enumeration():
                 assert len(ref) >= 2
             else:
                 assert ref == [report.assignment[row]]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 12])
+def test_small_scan_blocks_match_oracle(monkeypatch, budget):
+    # blocks of one to a few source rows: a wide window saturates rows
+    # partway through the scan (and may end it early), a narrow one leaves
+    # unique and empty rows; outcomes must not depend on the block size
+    rng = np.random.default_rng(88)
+    for trial in range(18):
+        params = TypicalityParams.from_components(
+            P_X, CH, P_S, epsilon=(0.45, 1.0, 3.0)[trial % 3]
+        )
+        st = substreams(8000 + trial)
+        m, n = int(rng.integers(4, 17)), int(rng.integers(2, 9))
+        d1 = generate_unlabeled(m, n, P_X, st.database)
+        pat = sample_pattern(n, P_S, st.pattern)
+        lab = sample_labeling(m, st.labeling)
+        d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
+        marked = build_marked(d2, pat)
+        rows = None
+        if trial % 2:
+            rows = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
+        whole = match_all(d1, marked, params, match_rows=rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcher, "_SCAN_BLOCK_ENTRIES", budget)
+            report = match_all(d1, marked, params, match_rows=rows)
+        assert report == whole
+        for pos, row in enumerate(report.matched_rows):
+            ref = naive_accept_set(
+                d1.entries, d2.entries[row], pat.counts, P_X, CH, P_S, params.epsilon
+            )
+            if report.outcomes[pos] == OUTCOME_NONE:
+                assert ref == []
+            elif report.outcomes[pos] == OUTCOME_AMBIGUOUS:
+                assert len(ref) >= 2
+            else:
+                assert ref == [report.assignment[row]]
+
+
+def test_full_match_memory_is_bounded():
+    # every shuffled row against every source row: the scan scores m x m
+    # pairs, one bounded block of source rows at a time (unblocked, the
+    # 4096 x 4096 float64 score matrix alone would take 134 MB)
+    st = substreams(21)
+    m, n = 4096, 16
+    d1 = generate_unlabeled(m, n, P_X, st.database)
+    pat = sample_pattern(n, P_S, st.pattern)
+    lab = sample_labeling(m, st.labeling)
+    d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
+    marked = build_marked(d2, pat)
+    params = TypicalityParams.from_components(P_X, CH, P_S)
+    tracemalloc.start()
+    try:
+        report = match_all(d1, marked, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.matched_rows) == m
+    assert peak < 96e6
 
 
 def test_match_single_row():
@@ -297,6 +285,8 @@ def test_match_rows_subset():
     full = match_all(d1, marked, params)
     for row in rows:
         assert full.outcomes[row] == report.outcomes[report.matched_rows.index(row)]
+    empty = match_all(d1, marked, params, match_rows=np.array([], dtype=np.int64))
+    assert empty.matched_rows == () and empty.outcomes == ()
 
 
 # --- evaluation ---------------------------------------------------------------------
@@ -341,17 +331,3 @@ def test_report_json_shape():
     blob = report_to_json(report)
     assert blob == {"assignment": {"0": 2}, "outcomes": [OUTCOME_CORRECT], "errorRate": 0.0}
 
-
-# --- diagnostic likelihood decoder ----------------------------------------------------
-
-def test_ml_decoder_matches_noiseless():
-    st = substreams(13)
-    m, n = 16, 30
-    d1 = generate_unlabeled(m, n, P_X, st.database)
-    pat = RepetitionPattern(np.ones(n, dtype=np.int64))
-    lab = sample_labeling(m, st.labeling)
-    d2 = apply_repetition_noise(d1, pat, lab, Channel.identity(2), st.noise)
-    marked = build_marked(d2, pat)
-    params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=0.5)
-    report = evaluate(ml_match_all(d1, marked, params), GroundTruth(pat, lab))
-    assert report.error_rate == 0.0

@@ -6,7 +6,6 @@ import pytest
 from dbmatch import model
 from dbmatch.errors import MemoryCapExceeded, ValidationError
 from dbmatch.model import (
-    GroundTruth,
     Labeling,
     RepetitionPattern,
     UnlabeledDatabase,
@@ -19,14 +18,6 @@ from dbmatch.model import (
     trial_seed_sequence,
 )
 from dbmatch.probability import Channel, Pmf
-from dbmatch.serialize import (
-    ground_truth_to_json,
-    load_ground_truth,
-    load_matrix,
-    save_ground_truth,
-    save_matrix,
-    save_matrix_csv,
-)
 
 
 def test_point_mass_source_is_constant():
@@ -325,6 +316,22 @@ def test_substreams_full_determinism():
     assert not np.array_equal(a[3].entries, c[3].entries)
 
 
+def test_substreams_from_int_or_seed_sequence():
+    # an int seeds SeedSequence(seed); a SeedSequence is spawned from
+    # directly, one child per named stream in field order
+    def first_draws(st):
+        return [int(g.integers(1 << 62)) for g in st]
+
+    assert substreams(5)._fields == (
+        "database", "pattern", "labeling", "noise", "seeds", "rows"
+    )
+    assert first_draws(substreams(5)) == first_draws(substreams(np.random.SeedSequence(5)))
+    children = trial_seed_sequence(5, 2).spawn(6)
+    expect = [int(np.random.default_rng(c).integers(1 << 62)) for c in children]
+    assert first_draws(substreams(trial_seed_sequence(5, 2))) == expect
+    assert len(set(expect)) == 6
+
+
 def test_trial_seed_sequences_differ():
     a = np.random.default_rng(trial_seed_sequence(1, 0)).random(4)
     b = np.random.default_rng(trial_seed_sequence(1, 1)).random(4)
@@ -340,37 +347,3 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         RepetitionPattern(np.array([1, -1]))
 
-
-def test_matrix_roundtrip(tmp_path):
-    rng = np.random.default_rng(17)
-    db = generate_unlabeled(9, 5, Pmf.uniform(3), rng)
-    path = tmp_path / "d1.dbm"
-    save_matrix(path, db.entries, 3)
-    loaded, k = load_matrix(path)
-    assert k == 3
-    assert np.array_equal(loaded, db.entries)
-    save_matrix_csv(tmp_path / "d1.csv", db.entries)
-    text = (tmp_path / "d1.csv").read_text().strip().splitlines()
-    assert len(text) == 9
-
-
-def test_matrix_rejects_corrupt_header(tmp_path):
-    path = tmp_path / "bad.dbm"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ValidationError):
-        load_matrix(path)
-
-
-def test_ground_truth_roundtrip(tmp_path):
-    rng = np.random.default_rng(18)
-    truth = GroundTruth(
-        pattern=sample_pattern(6, Pmf([0.2, 0.8]), rng),
-        labeling=sample_labeling(7, rng),
-    )
-    path = tmp_path / "truth.json"
-    save_ground_truth(path, truth)
-    loaded = load_ground_truth(path)
-    assert np.array_equal(loaded.pattern.counts, truth.pattern.counts)
-    assert np.array_equal(loaded.labeling.perm, truth.labeling.perm)
-    blob = ground_truth_to_json(truth)
-    assert set(blob) == {"pattern", "labeling"}
