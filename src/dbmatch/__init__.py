@@ -73,7 +73,6 @@ from .probability import (
     entropy,
     find_best_sigma,
     pipeline_scalars,
-    psi_profile,
     recommend_seed_size,
     recommend_threshold,
     repeat_mutual_information,

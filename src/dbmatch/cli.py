@@ -21,6 +21,53 @@ from .errors import DbMatchError
 from .probability import IDENTITY_TOL
 
 
+def _capacity_report(cfg: experiments.ExperimentConfig) -> dict:
+    """The capacity (the sum of the per-count terms, as in
+    probability.capacity) and its cross-check against the direct joint;
+    raises DbMatchError when the two disagree, whatever the output format."""
+    per = probability.capacity_per_count(cfg.p_x, cfg.p_s, cfg.channel)
+    cap = float(sum(per.values()))
+    direct = probability.capacity_direct(cfg.p_x, cfg.p_s, cfg.channel)
+    if not abs(cap - direct) <= IDENTITY_TOL:  # NaN fails too
+        raise DbMatchError(
+            f"capacity cross-check failed: decomposition {cap!r} vs direct {direct!r}"
+        )
+    return {
+        "capacity": cap,
+        "crossCheck": direct,
+        "perCount": {str(s): term for s, term in sorted(per.items())},
+    }
+
+
+def _capacity_text(report: dict) -> str:
+    cap, direct = report["capacity"], report["crossCheck"]
+    lines = [f"capacity {cap!r} bits/column (cross-check {direct!r})"]
+    lines.extend(f"  s={s}: {term!r}" for s, term in report["perCount"].items())
+    return "\n".join(lines) + "\n"
+
+
+# command -> (help, run, default format, JSON builder, text builder); for
+# capacity the "csv" format is the plain-text report
+COMMANDS = {
+    "capacity": (
+        "print the matching capacity and its per-count decomposition",
+        _capacity_report, "csv", lambda report: report, _capacity_text,
+    ),
+    "simulate": (
+        "run end-to-end trials for one config",
+        experiments.simulate, "json", experiments.records_to_json, experiments.records_to_csv,
+    ),
+    "sweep": (
+        "run a growth-rate sweep across the capacity value",
+        experiments.run_sweep, "csv", experiments.sweep_to_json, experiments.sweep_to_csv,
+    ),
+    "detect-bench": (
+        "benchmark the two detection stages",
+        experiments.detection_bench, "csv", experiments.bench_to_json, experiments.bench_to_csv,
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbmatch",
@@ -28,12 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "capacity calculator and simulation pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("capacity", "print the matching capacity and its per-count decomposition"),
-        ("simulate", "run end-to-end trials for one config"),
-        ("sweep", "run a growth-rate sweep across the capacity value"),
-        ("detect-bench", "benchmark the two detection stages"),
-    ):
+    for name, (helptext, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -41,9 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None, help="override masterSeed")
         if name == "sweep":
-            p.add_argument(
-                "--grid", default=None, help="comma-separated rates overriding rateGrid"
-            )
+            p.add_argument("--grid", help="comma-separated rates overriding rateGrid")
     return parser
 
 
@@ -61,82 +101,23 @@ def _emit(text: str, out: str | None) -> None:
             raise
 
 
-def _capacity_values(cfg: experiments.ExperimentConfig):
-    """(capacity, cross-check, per-count terms); the capacity is the sum of
-    the per-count terms, as in probability.capacity."""
-    per = probability.capacity_per_count(cfg.p_x, cfg.p_s, cfg.channel)
-    direct = probability.capacity_direct(cfg.p_x, cfg.p_s, cfg.channel)
-    return float(sum(per.values())), direct, per
-
-
-def _capacity_text(cfg: experiments.ExperimentConfig) -> str:
-    cap, direct, per = _capacity_values(cfg)
-    if not abs(cap - direct) <= IDENTITY_TOL:  # NaN fails too
-        raise DbMatchError(
-            f"capacity cross-check failed: decomposition {cap!r} vs direct {direct!r}"
-        )
-    lines = [f"capacity {cap!r} bits/column (cross-check {direct!r})"]
-    for s, term in sorted(per.items()):
-        lines.append(f"  s={s}: {term!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _capacity_json(cfg: experiments.ExperimentConfig) -> str:
-    cap, direct, per = _capacity_values(cfg)
-    return (
-        json.dumps(
-            {
-                "capacity": cap,
-                "crossCheck": direct,
-                "perCount": {str(s): term for s, term in sorted(per.items())},
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    _, run, default_format, to_json, to_text = COMMANDS[args.command]
     try:
         cfg = experiments.load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
-
-        if args.command == "capacity":
-            fmt = args.format or "csv"  # csv means plain text here
-            text = _capacity_json(cfg) if fmt == "json" else _capacity_text(cfg)
-            _emit(text, args.out)
-        elif args.command == "simulate":
-            records = experiments.simulate(cfg)
-            fmt = args.format or "json"
-            if fmt == "json":
-                text = json.dumps(experiments.records_to_json(records), indent=2) + "\n"
-            else:
-                text = experiments.records_to_csv(records)
-            _emit(text, args.out)
-        elif args.command == "sweep":
-            grid = None
-            if args.grid:
-                grid = [float(v) for v in args.grid.split(",")]
-            result = experiments.run_sweep(cfg, grid)
-            fmt = args.format or "csv"
-            if fmt == "json":
-                text = json.dumps(experiments.sweep_to_json(result), indent=2) + "\n"
-            else:
-                text = experiments.sweep_to_csv(result)
-            _emit(text, args.out)
-        elif args.command == "detect-bench":
-            rows = experiments.detection_bench(cfg)
-            fmt = args.format or "csv"
-            if fmt == "json":
-                text = json.dumps(experiments.bench_to_json(rows), indent=2) + "\n"
-            else:
-                text = experiments.bench_to_csv(rows)
-            _emit(text, args.out)
+        if getattr(args, "grid", None):
+            cfg = replace(cfg, rate_grid=tuple(float(v) for v in args.grid.split(",")))
+        result = run(cfg)
+        if (args.format or default_format) == "json":
+            text = json.dumps(to_json(result), indent=2) + "\n"
+        else:
+            text = to_text(result)
+        _emit(text, args.out)
     except (DbMatchError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"dbmatch: error: {exc}", file=sys.stderr)
         return 2

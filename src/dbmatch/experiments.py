@@ -31,18 +31,6 @@ from .errors import (
 )
 from .probability import Channel, Pmf
 
-SWEEP_CSV_COLUMNS = (
-    "rate",
-    "m",
-    "trials",
-    "meanErrorRate",
-    "ciLow",
-    "ciHigh",
-    "replicaSuccessRate",
-    "deletionSuccessRate",
-    "capacity",
-)
-
 MIN_RECOMMENDED_TRIALS = 30
 _CI_Z = 1.96
 
@@ -101,30 +89,33 @@ class ExperimentConfig:
             return self.m
         return self.rows_for_rate(self.rate)  # type: ignore[arg-type]
 
-    @property
-    def effective_rate(self) -> float:
-        if self.rate is not None:
-            return self.rate
-        return math.log2(self.m) / self.n  # type: ignore[arg-type]
-
 
 REQUIRED_CONFIG_KEYS = ("alphabetSize", "pX", "pS", "channel", "n", "trials", "masterSeed")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from the documented JSON schema (camelCase keys)."""
+    """Build a config from the documented JSON schema (camelCase keys).
+
+    A null value counts as absent: an optional key takes its default and
+    a required one is reported missing.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError("config must be a JSON object")
+    data = {key: value for key, value in data.items() if value is not None}
     missing = [k for k in REQUIRED_CONFIG_KEYS if k not in data]
     if missing:
         raise ValidationError(f"config missing required keys: {missing}")
-    if ("rate" in data) == ("m" in data):
-        raise ValidationError("config must set exactly one of 'rate' / 'm'")
+
+    def optional(key: str, cast, default=None):
+        return cast(data[key]) if key in data else default
+
     k = int(data["alphabetSize"])
     chan = data["channel"]
     if chan and not isinstance(chan[0], (list, tuple)):
         if len(chan) != k * k:
             raise ValidationError("row-major channel must have alphabetSize^2 entries")
         chan = [chan[i * k : (i + 1) * k] for i in range(k)]
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         alphabet_size=k,
         p_x=Pmf(data["pX"]),
         p_s=Pmf(data["pS"]),
@@ -132,20 +123,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         n=int(data["n"]),
         trials=int(data["trials"]),
         master_seed=int(data["masterSeed"]),
-        rate=float(data["rate"]) if "rate" in data else None,
-        m=int(data["m"]) if "m" in data else None,
-        epsilon=float(data["epsilon"]) if data.get("epsilon") is not None else None,
-        tau=float(data["tau"]) if data.get("tau") is not None else None,
-        seed_rows=int(data["seedRows"]) if data.get("seedRows") is not None else None,
-        seed_order=float(data["seedOrder"]) if data.get("seedOrder") is not None else None,
-        entry_cap=int(data.get("entryCap", model.DEFAULT_ENTRY_CAP)),
-        match_rows=int(data["matchRows"]) if data.get("matchRows") is not None else None,
+        rate=optional("rate", float),
+        m=optional("m", int),
+        epsilon=optional("epsilon", float),
+        tau=optional("tau", float),
+        seed_rows=optional("seedRows", int),
+        seed_order=optional("seedOrder", float),
+        entry_cap=optional("entryCap", int, model.DEFAULT_ENTRY_CAP),
+        match_rows=optional("matchRows", int),
         rate_grid=tuple(float(r) for r in data.get("rateGrid", ())),
         m_grid=tuple(int(v) for v in data.get("mGrid", (1_000, 10_000, 100_000))),
         b_grid=tuple(int(v) for v in data.get("bGrid", ())),
-        threads=int(data.get("threads", 1)),
+        threads=optional("threads", int, 1),
     )
-    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -311,6 +301,10 @@ def _aggregate(rate: float, m: int, records: list[TrialRecord]) -> SweepPoint:
         half = _CI_Z * float(errs.std(ddof=1)) / math.sqrt(errs.size) if errs.size > 1 else 0.0
     else:
         mean, half = float("nan"), 0.0
+
+    def share(flag: str) -> float:
+        return sum(getattr(r, flag) for r in ok) / len(ok) if ok else float("nan")
+
     return SweepPoint(
         rate=rate,
         m=m,
@@ -318,12 +312,8 @@ def _aggregate(rate: float, m: int, records: list[TrialRecord]) -> SweepPoint:
         mean_error_rate=mean,
         ci_low=mean - half,
         ci_high=mean + half,
-        replica_success_rate=(
-            sum(r.replica_ok for r in ok) / len(ok) if ok else float("nan")
-        ),
-        deletion_success_rate=(
-            sum(r.deletion_ok for r in ok) / len(ok) if ok else float("nan")
-        ),
+        replica_success_rate=share("replica_ok"),
+        deletion_success_rate=share("deletion_ok"),
         records=tuple(records),
     )
 
@@ -348,25 +338,54 @@ def run_sweep(cfg: ExperimentConfig, r_grid: list[float] | None = None) -> Sweep
     return SweepResult(points=tuple(points), capacity=cap)
 
 
-def sweep_to_csv(result: SweepResult) -> str:
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for p in result.points:
-        lines.append(
-            ",".join(
-                repr(v) if isinstance(v, float) else str(v)
-                for v in (
-                    p.rate,
-                    p.m,
-                    p.trials,
-                    p.mean_error_rate,
-                    p.ci_low,
-                    p.ci_high,
-                    p.replica_success_rate,
-                    p.deletion_success_rate,
-                    result.capacity,
-                )
-            )
-        )
+# --- output: one field table per result kind, read by both formats ---------
+
+# output key -> attribute, in column order
+RECORD_FIELDS = {
+    "trial": "index",
+    "replicaOk": "replica_ok",
+    "deletionOk": "deletion_ok",
+    "patternOk": "pattern_ok",
+    "errorRate": "error_rate",
+    "wallTime": "wall_time",
+    "infrastructureFailure": "infrastructure_failure",
+}
+SWEEP_FIELDS = {
+    "rate": "rate",
+    "m": "m",
+    "trials": "trials",
+    "meanErrorRate": "mean_error_rate",
+    "ciLow": "ci_low",
+    "ciHigh": "ci_high",
+    "replicaSuccessRate": "replica_success_rate",
+    "deletionSuccessRate": "deletion_success_rate",
+}
+BENCH_FIELDS = {
+    "stage": "stage",
+    "param": "param",
+    "trials": "trials",
+    "successes": "successes",
+    "successRate": "success_rate",
+    "analyticBound": "analytic_bound",
+}
+
+
+def _fields(obj, table: dict[str, str]) -> dict:
+    return {key: getattr(obj, attr) for key, attr in table.items()}
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv(rows: list[dict], columns) -> str:
+    """The one CSV writer: a header of the column keys, then one line per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -374,47 +393,25 @@ def sweep_to_json(result: SweepResult) -> dict:
     return {
         "capacity": result.capacity,
         "points": [
-            {
-                "rate": p.rate,
-                "m": p.m,
-                "trials": p.trials,
-                "meanErrorRate": p.mean_error_rate,
-                "ciLow": p.ci_low,
-                "ciHigh": p.ci_high,
-                "replicaSuccessRate": p.replica_success_rate,
-                "deletionSuccessRate": p.deletion_success_rate,
-                "lowTrialCount": p.trials < MIN_RECOMMENDED_TRIALS,
-            }
+            {**_fields(p, SWEEP_FIELDS), "lowTrialCount": p.trials < MIN_RECOMMENDED_TRIALS}
             for p in result.points
         ],
     }
 
 
+def sweep_to_csv(result: SweepResult) -> str:
+    rows = [{**_fields(p, SWEEP_FIELDS), "capacity": result.capacity} for p in result.points]
+    return _csv(rows, [*SWEEP_FIELDS, "capacity"])
+
+
 def records_to_json(records: list[TrialRecord]) -> list[dict]:
-    return [
-        {
-            "trial": r.index,
-            "replicaOk": r.replica_ok,
-            "deletionOk": r.deletion_ok,
-            "patternOk": r.pattern_ok,
-            "errorRate": r.error_rate,
-            "wallTime": r.wall_time,
-            "infrastructureFailure": r.infrastructure_failure,
-        }
-        for r in records
-    ]
+    return [_fields(r, RECORD_FIELDS) for r in records]
 
 
 def records_to_csv(records: list[TrialRecord]) -> str:
-    lines = ["trial,replicaOk,deletionOk,patternOk,errorRate,wallTime,infrastructureFailure"]
-    for r in records:
-        err = "" if r.error_rate is None else repr(r.error_rate)
-        fail = r.infrastructure_failure or ""
-        lines.append(
-            f"{r.index},{int(r.replica_ok)},{int(r.deletion_ok)},{int(r.pattern_ok)},"
-            f"{err},{r.wall_time:.6f},{fail}"
-        )
-    return "\n".join(lines) + "\n"
+    # the one exception to the cell rule: wall times print with six decimals
+    rows = [{**_fields(r, RECORD_FIELDS), "wallTime": f"{r.wall_time:.6f}"} for r in records]
+    return _csv(rows, RECORD_FIELDS)
 
 
 # --- detection benchmark ---------------------------------------------------
@@ -426,6 +423,10 @@ class BenchRow:
     trials: int
     successes: int
     analytic_bound: float | None
+
+    @property
+    def success_rate(self) -> float:
+        return self.successes / self.trials
 
 
 def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
@@ -478,25 +479,9 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
     return rows
 
 
-def bench_to_csv(rows: list[BenchRow]) -> str:
-    lines = ["stage,param,trials,successes,successRate,analyticBound"]
-    for r in rows:
-        bound = "" if r.analytic_bound is None else repr(r.analytic_bound)
-        lines.append(
-            f"{r.stage},{r.param},{r.trials},{r.successes},{repr(r.successes / r.trials)},{bound}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def bench_to_json(rows: list[BenchRow]) -> list[dict]:
-    return [
-        {
-            "stage": r.stage,
-            "param": r.param,
-            "trials": r.trials,
-            "successes": r.successes,
-            "successRate": r.successes / r.trials,
-            "analyticBound": r.analytic_bound,
-        }
-        for r in rows
-    ]
+    return [_fields(r, BENCH_FIELDS) for r in rows]
+
+
+def bench_to_csv(rows: list[BenchRow]) -> str:
+    return _csv(bench_to_json(rows), BENCH_FIELDS)

@@ -288,11 +288,3 @@ def evaluate(report: MatchReport, truth: GroundTruth) -> MatchReport:
         assignment=dict(report.assignment),
         error_rate=wrong / len(outcomes) if outcomes else 0.0,
     )
-
-
-def report_to_json(report: MatchReport) -> dict:
-    return {
-        "assignment": {str(k): int(v) for k, v in sorted(report.assignment.items())},
-        "outcomes": list(report.outcomes),
-        "errorRate": report.error_rate,
-    }

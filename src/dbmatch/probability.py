@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,11 +150,6 @@ class Scalars:
     q0: float
     q1: float
     tau: float
-    q: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        gap = self.q0 - self.q1
-        object.__setattr__(self, "q", math.exp(-0.5 * gap * gap))
 
 
 def _plogp(values: np.ndarray) -> float:
@@ -211,16 +206,6 @@ def compute_p0_p1(p_x: Pmf, ch: Channel) -> tuple[float, float]:
     if p0 < p1 - PMF_TOL:
         raise AssertionError(f"p0={p0} < p1={p1}; broken channel arithmetic")
     return p0, p1
-
-
-def psi_profile(p_x: Pmf, ch: Channel) -> np.ndarray:
-    """Per-output-symbol squared deviation of the rows from the marginal.
-
-    Nonnegative, and its sum equals p0 - p1; used as a cross-check identity.
-    """
-    p_y = p_x.probs @ ch.rows
-    dev = ch.rows - p_y[None, :]
-    return np.asarray((p_x.probs[:, None] * dev * dev).sum(axis=0))
 
 
 def compute_q0_q1(p_x: Pmf, ch: Channel, sigma: SymbolMap) -> tuple[float, float]:

@@ -7,6 +7,14 @@ import math
 from dbmatch.matcher import TripleLaw
 
 
+def psi_profile(p_x, ch):
+    """Per-output-symbol squared deviation of the channel rows from the
+    output marginal: nonnegative, and its sum equals p0 - p1."""
+    p_y = p_x.probs @ ch.rows
+    dev = ch.rows - p_y[None, :]
+    return (p_x.probs[:, None] * dev * dev).sum(axis=0)
+
+
 def naive_deletion_search(g1, g2_sigma):
     """Independent plain-enumeration reference: loops, no mismatch table."""
     n = g1.shape[1]

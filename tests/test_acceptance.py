@@ -22,7 +22,7 @@ from dbmatch.detection import (
     detect_replicas,
     true_runs,
 )
-from dbmatch.experiments import config_from_dict, run_sweep, run_trial, sweep_to_csv
+from dbmatch.experiments import config_from_dict, run_sweep, run_trial
 from dbmatch.matcher import (
     OUTCOME_AMBIGUOUS,
     OUTCOME_NONE,

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from dbmatch.cli import main
+from dbmatch.experiments import load_config
+from dbmatch.model import DEFAULT_ENTRY_CAP
 
 CONFIG = {
     "alphabetSize": 2,
@@ -65,10 +67,13 @@ def test_capacity_beyond_four_repetitions(tmp_path, capsys):
     assert main(["capacity", "--config", path]) == 0
 
 
-def test_capacity_cross_check_rejects_nan(config_path, capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_capacity_cross_check_rejects_nan(config_path, capsys, monkeypatch, fmt):
     monkeypatch.setattr("dbmatch.probability.capacity_direct", lambda *args: float("nan"))
-    assert main(["capacity", "--config", config_path]) == 2
-    assert "cross-check failed" in capsys.readouterr().err
+    assert main(["capacity", "--config", config_path, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert "cross-check failed" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_json_and_csv(config_path, capsys):
@@ -134,6 +139,36 @@ def test_malformed_pmf_rejected(tmp_path, capsys):
     path = write_config(tmp_path, pX=[0.5, 0.4])
     assert main(["capacity", "--config", path]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, attr, default",
+    [
+        ("entryCap", "entry_cap", DEFAULT_ENTRY_CAP),
+        ("threads", "threads", 1),
+        ("rateGrid", "rate_grid", ()),
+        ("mGrid", "m_grid", (1_000, 10_000, 100_000)),
+        ("epsilon", "epsilon", None),
+    ],
+)
+def test_null_optional_key_loads_default(tmp_path, key, attr, default):
+    path = write_config(tmp_path, **{key: None})
+    assert getattr(load_config(path), attr) == default
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("key", ["n", "pX", "masterSeed"])
+def test_null_required_key_exits_2(tmp_path, capsys, key):
+    path = write_config(tmp_path, **{key: None})
+    assert main(["simulate", "--config", path]) == 2
+    assert f"config missing required keys: ['{key}']" in capsys.readouterr().err
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["capacity", "--config", str(path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys, tmp_path):

@@ -1,6 +1,5 @@
 """Orchestration layer: trials, sweeps, benches, reproducibility."""
 
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from dbmatch.errors import ValidationError
 from dbmatch.experiments import (
-    ExperimentConfig,
     config_from_dict,
     detection_bench,
     records_to_csv,
@@ -21,7 +19,7 @@ from dbmatch.experiments import (
     sweep_to_json,
 )
 from dbmatch.model import trial_seed_sequence
-from dbmatch.probability import Channel, Pmf, capacity, pipeline_scalars, recommend_seed_size
+from dbmatch.probability import capacity, pipeline_scalars, recommend_seed_size
 
 BASE = {
     "alphabetSize": 2,
@@ -80,7 +78,6 @@ def test_rows_from_rate_rounding_and_floor():
     assert low.rows == 2
     explicit = config_from_dict({k: v for k, v in BASE.items() if k != "rate"} | {"m": 37})
     assert explicit.rows == 37
-    assert explicit.effective_rate == pytest.approx(math.log2(37) / 20)
 
 
 def test_seed_batch_size_modes():

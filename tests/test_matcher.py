@@ -17,7 +17,6 @@ from dbmatch.matcher import (
     build_marked,
     evaluate,
     match_all,
-    report_to_json,
 )
 from dbmatch.model import (
     GroundTruth,
@@ -322,12 +321,3 @@ def test_evaluate_half_correct():
         assignment={0: 0, 1: 1},
     )
     assert evaluate(report, truth).error_rate == 0.5
-
-
-def test_report_json_shape():
-    report = MatchReport(
-        matched_rows=(0,), outcomes=(OUTCOME_CORRECT,), assignment={0: 2}, error_rate=0.0
-    )
-    blob = report_to_json(report)
-    assert blob == {"assignment": {"0": 2}, "outcomes": [OUTCOME_CORRECT], "errorRate": 0.0}
-
