@@ -75,7 +75,6 @@ from .probability import (
     pipeline_scalars,
     recommend_seed_size,
     recommend_threshold,
-    repeat_mutual_information,
     replica_error_bounds,
 )
 

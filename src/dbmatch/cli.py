@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, probability
@@ -68,6 +67,10 @@ COMMANDS = {
 }
 
 
+def rate_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbmatch",
@@ -83,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None, help="override masterSeed")
         if name == "sweep":
-            p.add_argument("--grid", help="comma-separated rates overriding rateGrid")
+            p.add_argument("--grid", type=rate_list, help="comma-separated rates overriding rateGrid")
     return parser
 
 
@@ -105,13 +108,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _, run, default_format, to_json, to_text = COMMANDS[args.command]
     try:
-        cfg = experiments.load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=args.seed)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
-        if getattr(args, "grid", None):
-            cfg = replace(cfg, rate_grid=tuple(float(v) for v in args.grid.split(",")))
+        cfg = experiments.load_config(
+            args.config, masterSeed=args.seed, threads=args.threads, rateGrid=vars(args).get("grid")
+        )
         result = run(cfg)
         if (args.format or default_format) == "json":
             text = json.dumps(to_json(result), indent=2) + "\n"

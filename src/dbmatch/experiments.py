@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,82 +65,95 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValidationError("matching experiments need an alphabet of size >= 2")
+        for key, (attr, kind, low) in CONFIG_FIELDS.items():
+            value = getattr(self, attr)
+            if low is None or value is None:
+                continue
+            for v in value if kind in ("ints", "floats") else (value,):
+                if v < low or (kind == "float" and v == low):
+                    raise ValidationError(f"{key} must be {'>' if kind == 'float' else '>='} {low}")
         if not (self.p_x.size == self.channel.size == self.alphabet_size):
             raise ValidationError("alphabetSize, pX and channel disagree")
-        if self.n < 1:
-            raise ValidationError("n must be positive")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
         if (self.rate is None) == (self.m is None):
             raise ValidationError("exactly one of rate / m must be given")
-        if self.m is not None and self.m < 1:
-            raise ValidationError("m must be positive")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
-
-    def rows_for_rate(self, rate: float) -> int:
-        return max(2, round(2.0 ** (self.n * rate)))
 
     @property
     def rows(self) -> int:
         if self.m is not None:
             return self.m
-        return self.rows_for_rate(self.rate)  # type: ignore[arg-type]
+        return max(2, round(2.0 ** (self.n * self.rate)))  # type: ignore[operator]
 
 
-REQUIRED_CONFIG_KEYS = ("alphabetSize", "pX", "pS", "channel", "n", "trials", "masterSeed")
+# JSON key -> (attribute, kind, lower bound: inclusive for an int, strict for a float)
+CONFIG_FIELDS = {
+    "alphabetSize": ("alphabet_size", "int", 2),
+    "pX": ("p_x", "pmf", None),
+    "pS": ("p_s", "pmf", None),
+    "channel": ("channel", "channel", None),
+    "n": ("n", "int", 1),
+    "trials": ("trials", "int", 1),
+    "masterSeed": ("master_seed", "int", 0),
+    "rate": ("rate", "float", None),
+    "m": ("m", "int", 1),
+    "epsilon": ("epsilon", "float", 0.0),
+    "tau": ("tau", "float", None),
+    "seedRows": ("seed_rows", "int", 0),
+    "seedOrder": ("seed_order", "float", None),
+    "entryCap": ("entry_cap", "int", 1),
+    "matchRows": ("match_rows", "int", 1),
+    "rateGrid": ("rate_grid", "floats", None),
+    "mGrid": ("m_grid", "ints", 1),
+    "bGrid": ("b_grid", "ints", 0),
+    "threads": ("threads", "int", 1),
+}
+_NUMBER = (float, int, np.floating, np.integer)  # bool, an int, is refused apart
+_NO_DEFAULT = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+_REQUIRED = [key for key, (attr, *_) in CONFIG_FIELDS.items() if attr in _NO_DEFAULT]
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def _read(key: str, kind: str, value):
+    """A JSON value as its field's kind; ValidationError names the key."""
+    if kind in ("int", "float"):
+        what = "an integer" if kind == "int" else "a number"
+        # value % 1 is nonzero, or NaN, unless the number is integral
+        if isinstance(value, bool) or not isinstance(value, _NUMBER) or kind == "int" and value % 1:
+            raise ValidationError(f"{key}: {value!r} is not {what}")
+        return int(value) if kind == "int" else float(value)
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{key}: {value!r} is not an array")
+    if kind in ("ints", "floats"):
+        plain = int if kind == "ints" else float  # taken as is; other types are checked
+        return tuple(v if type(v) is plain else _read(key, kind[:-1], v) for v in value)
+    if kind == "pmf":
+        return Pmf(_read(key, "floats", value), name=key)
+    if value and isinstance(value[0], (list, tuple)):
+        return Channel([_read(key, "floats", row) for row in value])
+    flat = _read(key, "floats", value)  # row-major; a length that is not k * k stays one row
+    k = math.isqrt(len(flat))
+    return Channel([flat[i * k : (i + 1) * k] for i in range(k)] if k * k == len(flat) else [flat])
+
+
+def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     """Build a config from the documented JSON schema (camelCase keys).
 
-    A null value counts as absent: an optional key takes its default and
-    a required one is reported missing.
+    A null value counts as absent: an optional key takes its default and a
+    required one is reported missing.  A non-null override replaces its key.
     """
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
-    data = {key: value for key, value in data.items() if value is not None}
-    missing = [k for k in REQUIRED_CONFIG_KEYS if k not in data]
+    data = {key: value for d in (data, overrides) for key, value in d.items() if value is not None}
+    missing = [k for k in _REQUIRED if k not in data]
     if missing:
         raise ValidationError(f"config missing required keys: {missing}")
-
-    def optional(key: str, cast, default=None):
-        return cast(data[key]) if key in data else default
-
-    k = int(data["alphabetSize"])
-    chan = data["channel"]
-    if chan and not isinstance(chan[0], (list, tuple)):
-        if len(chan) != k * k:
-            raise ValidationError("row-major channel must have alphabetSize^2 entries")
-        chan = [chan[i * k : (i + 1) * k] for i in range(k)]
-    return ExperimentConfig(
-        alphabet_size=k,
-        p_x=Pmf(data["pX"]),
-        p_s=Pmf(data["pS"]),
-        channel=Channel(chan),
-        n=int(data["n"]),
-        trials=int(data["trials"]),
-        master_seed=int(data["masterSeed"]),
-        rate=optional("rate", float),
-        m=optional("m", int),
-        epsilon=optional("epsilon", float),
-        tau=optional("tau", float),
-        seed_rows=optional("seedRows", int),
-        seed_order=optional("seedOrder", float),
-        entry_cap=optional("entryCap", int, model.DEFAULT_ENTRY_CAP),
-        match_rows=optional("matchRows", int),
-        rate_grid=tuple(float(r) for r in data.get("rateGrid", ())),
-        m_grid=tuple(int(v) for v in data.get("mGrid", (1_000, 10_000, 100_000))),
-        b_grid=tuple(int(v) for v in data.get("bGrid", ())),
-        threads=optional("threads", int, 1),
-    )
+    return ExperimentConfig(**{
+        attr: _read(key, kind, data[key])
+        for key, (attr, kind, _) in CONFIG_FIELDS.items() if key in data
+    })
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        return config_from_dict(json.load(fh), **overrides)
 
 
 @dataclass(frozen=True)
@@ -191,13 +204,8 @@ def _params_cached(
 def config_params(cfg: ExperimentConfig) -> matcher.TypicalityParams:
     """Typicality window and law for a config; memoized, they are
     trial-invariant (the law holds the capacity sum over read types)."""
-    return _params_cached(
-        cfg.p_x.probs.tobytes(),
-        cfg.p_s.probs.tobytes(),
-        cfg.channel.rows.tobytes(),
-        cfg.alphabet_size,
-        cfg.epsilon,
-    )
+    p_x, p_s, ch = cfg.p_x.probs.tobytes(), cfg.p_s.probs.tobytes(), cfg.channel.rows.tobytes()
+    return _params_cached(p_x, p_s, ch, cfg.alphabet_size, cfg.epsilon)
 
 
 @functools.lru_cache(maxsize=64)
@@ -228,6 +236,27 @@ def seed_batch_size(cfg: ExperimentConfig) -> int:
     return probability.recommend_seed_size(cfg.n, k_hat_over_n, scalars.q0, scalars.q1)
 
 
+def _view(cfg: ExperimentConfig, st: model.Substreams, m: int, shuffled: bool):
+    """Source, pattern, row labeling (sampled, or the identity) and noisy view."""
+    d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, st.database, entry_cap=cfg.entry_cap)
+    pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
+    labeling = model.sample_labeling(m, st.labeling) if shuffled else model.Labeling(np.arange(m))
+    d2 = model.apply_repetition_noise(
+        d1, pattern, labeling, cfg.channel, st.noise, entry_cap=cfg.entry_cap
+    )
+    return d1, pattern, labeling, d2
+
+
+def _deletions(cfg: ExperimentConfig, st: model.Substreams, pattern, runs, b: int):
+    """b seed rows collapsed onto the runs, then the deletion search: (estimate, exact?)."""
+    seeds = model.generate_seeds(
+        b, cfg.n, cfg.p_x, pattern, cfg.channel, st.seeds, entry_cap=cfg.entry_cap
+    )
+    g2_collapsed = detection.collapse_runs(seeds.g2, runs)
+    dels = detection.detect_deletions(seeds.g1, g2_collapsed, config_scalars(cfg).sigma)
+    return dels, set(dels.indices) == set(pattern.deleted_indices.tolist())
+
+
 def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: int = 0) -> TrialRecord:
     """One end-to-end pipeline pass: generate, detect, assemble, match, score."""
     t0 = time.perf_counter()
@@ -235,23 +264,11 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
     try:
         scalars = config_scalars(cfg)
         m = cfg.rows
-        d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, st.database, entry_cap=cfg.entry_cap)
-        pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
-        labeling = model.sample_labeling(m, st.labeling)
-        d2 = model.apply_repetition_noise(
-            d1, pattern, labeling, cfg.channel, st.noise, entry_cap=cfg.entry_cap
-        )
+        d1, pattern, labeling, d2 = _view(cfg, st, m, shuffled=True)
 
         runs = detection.detect_replicas(d2, scalars.tau)
         replica_ok = runs == detection.true_runs(pattern)
-
-        b = seed_batch_size(cfg)
-        seeds = model.generate_seeds(
-            b, cfg.n, cfg.p_x, pattern, cfg.channel, st.seeds, entry_cap=cfg.entry_cap
-        )
-        g2_collapsed = detection.collapse_runs(seeds.g2, runs)
-        dels = detection.detect_deletions(seeds.g1, g2_collapsed, scalars.sigma)
-        deletion_ok = set(dels.indices) == set(pattern.deleted_indices.tolist())
+        dels, deletion_ok = _deletions(cfg, st, pattern, runs, seed_batch_size(cfg))
 
         s_hat = detection.assemble_pattern(runs, dels, cfg.n)
         pattern_ok = bool(np.array_equal(s_hat.counts, pattern.counts))
@@ -279,9 +296,7 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
 
 
 def _run_batch(cfg: ExperimentConfig, seed_key: tuple[int, ...]) -> list[TrialRecord]:
-    seqs = [
-        model.trial_seed_sequence(cfg.master_seed, *seed_key, t) for t in range(cfg.trials)
-    ]
+    seqs = [model.trial_seed_sequence(cfg.master_seed, *seed_key, t) for t in range(cfg.trials)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(lambda it: run_trial(cfg, it[1], it[0]), enumerate(seqs)))
@@ -443,14 +458,8 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
         successes = 0
         bounds = []
         for t in range(cfg.trials):
-            ss = model.trial_seed_sequence(cfg.master_seed, 0, mi, t)
-            st = model.substreams(ss)
-            d1 = model.generate_unlabeled(m, cfg.n, cfg.p_x, st.database, entry_cap=cfg.entry_cap)
-            pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
-            labeling = model.Labeling(np.arange(m))
-            d2 = model.apply_repetition_noise(
-                d1, pattern, labeling, cfg.channel, st.noise, entry_cap=cfg.entry_cap
-            )
+            st = model.substreams(model.trial_seed_sequence(cfg.master_seed, 0, mi, t))
+            _, pattern, _, d2 = _view(cfg, st, m, shuffled=False)
             runs = detection.detect_replicas(d2, scalars.tau)
             successes += runs == detection.true_runs(pattern)
             bounds.append(
@@ -458,23 +467,15 @@ def detection_bench(cfg: ExperimentConfig) -> list[BenchRow]:
                     m, scalars.tau, scalars.p0, scalars.p1, pattern.total_columns
                 )
             )
-        rows.append(
-            BenchRow("replica", m, cfg.trials, successes, float(np.mean(bounds)))
-        )
+        rows.append(BenchRow("replica", m, cfg.trials, successes, float(np.mean(bounds))))
     b_default = seed_batch_size(cfg)
     b_grid = cfg.b_grid or (max(0, b_default // 10), b_default)
     for bi, b in enumerate(b_grid):
         successes = 0
         for t in range(cfg.trials):
-            ss = model.trial_seed_sequence(cfg.master_seed, 1, bi, t)
-            st = model.substreams(ss)
+            st = model.substreams(model.trial_seed_sequence(cfg.master_seed, 1, bi, t))
             pattern = model.sample_pattern(cfg.n, cfg.p_s, st.pattern)
-            seeds = model.generate_seeds(
-                b, cfg.n, cfg.p_x, pattern, cfg.channel, st.seeds, entry_cap=cfg.entry_cap
-            )
-            g2c = detection.collapse_runs(seeds.g2, detection.true_runs(pattern))
-            dels = detection.detect_deletions(seeds.g1, g2c, scalars.sigma)
-            successes += set(dels.indices) == set(pattern.deleted_indices.tolist())
+            successes += _deletions(cfg, st, pattern, detection.true_runs(pattern), b)[1]
         rows.append(BenchRow("deletion", b, cfg.trials, successes, None))
     return rows
 

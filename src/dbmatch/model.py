@@ -41,12 +41,19 @@ class Substreams(NamedTuple):
 
 
 def substreams(seed: int | np.random.SeedSequence) -> Substreams:
-    """Child i of the seed's SeedSequence drives field i.  A SeedSequence
-    is spawned from directly, which advances its spawn counter: a second
-    call with the same object returns fresh streams."""
+    """Child i of the seed's SeedSequence drives field i.  The children
+    are built from the sequence's entropy and spawn key, as a fresh
+    sequence's spawn() builds them, without advancing its spawn counter:
+    the same sequence always gives the same streams."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return Substreams(*(np.random.default_rng(c) for c in seed.spawn(len(Substreams._fields))))
+    children = (
+        np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, i), pool_size=seed.pool_size
+        )
+        for i in range(len(Substreams._fields))
+    )
+    return Substreams(*map(np.random.default_rng, children))
 
 
 def trial_seed_sequence(master_seed: int, *indices: int) -> np.random.SeedSequence:

@@ -46,8 +46,8 @@ class Pmf:
 
     probs: np.ndarray
 
-    def __init__(self, probs) -> None:
-        object.__setattr__(self, "probs", _as_prob_vector(probs, "pmf"))
+    def __init__(self, probs, name: str = "pmf") -> None:
+        object.__setattr__(self, "probs", _as_prob_vector(probs, name))
 
     @property
     def size(self) -> int:
@@ -61,12 +61,6 @@ class Pmf:
         if k < 1:
             raise ValidationError("alphabet size must be >= 1")
         return Pmf(np.full(k, 1.0 / k))
-
-    @staticmethod
-    def point_mass(k: int, symbol: int) -> "Pmf":
-        v = np.zeros(k)
-        v[symbol] = 1.0
-        return Pmf(v)
 
 
 @dataclass(frozen=True)
@@ -469,11 +463,6 @@ def _repeat_informations(p_x: Pmf, ch: Channel, s_max: int) -> np.ndarray:
     info = entropy(p_x) - _read_equivocations(p_x, ch, s_max)
     info[0] = 0.0
     return info
-
-
-def repeat_mutual_information(p_x: Pmf, ch: Channel, s: int) -> float:
-    """I(X; Y^s) for an s-fold memoryless read of the same symbol."""
-    return float(_repeat_informations(p_x, ch, s)[s])
 
 
 def capacity_per_count(p_x: Pmf, p_s: Pmf, ch: Channel) -> dict[int, float]:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dbmatch.cli import main
-from dbmatch.experiments import load_config
+from dbmatch.experiments import CONFIG_FIELDS, load_config
 from dbmatch.model import DEFAULT_ENTRY_CAP
 
 CONFIG = {
@@ -169,6 +169,83 @@ def test_non_object_config_exits_2(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["capacity", "--config", str(path)]) == 2
     assert "config must be a JSON object" in capsys.readouterr().err
+
+
+# wrong JSON types per field kind: each must exit 2 naming the key
+_NOT_AN_ARRAY = ["x", True, {"a": 1}, 3]
+WRONG_TYPES = {
+    "int": ["12", True, {"a": 1}, 2.5],
+    "float": ["0.5", False, {"a": 1}],
+    "ints": _NOT_AN_ARRAY + [[1, "2"], [1.5]],
+    "floats": _NOT_AN_ARRAY + [[0.1, "0.2"], [True]],
+    "pmf": _NOT_AN_ARRAY + [[0.5, "0.5"]],
+    "channel": _NOT_AN_ARRAY + [[[0.9, 0.1], 0.1], [[0.9, "0.1"], [0.1, 0.9]]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key, (_, kind, _) in CONFIG_FIELDS.items() for value in WRONG_TYPES[kind]],
+)
+def test_wrong_json_type_exits_2_naming_key(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, **{key: value})
+    assert main(["capacity", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"dbmatch: error: {key}: ")
+    assert "is not a" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("matchRows", 0),
+        ("threads", 0),
+        ("threads", -3),
+        ("masterSeed", -1),
+        ("n", 0),
+        ("trials", 0),
+        ("seedRows", -1),
+        ("entryCap", 0),
+        ("epsilon", 0.0),
+        ("mGrid", [100, 0]),
+        ("bGrid", [-1]),
+        ("alphabetSize", 1),
+    ],
+)
+def test_value_below_bound_exits_2_naming_key(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, **{key: value})
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"dbmatch: error: {key} must be ")
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--threads", "0"], "threads"), (["--seed", "-1"], "masterSeed")],
+)
+def test_flag_below_bound_exits_2_naming_key(config_path, capsys, flags, key):
+    assert main(["sweep", "--config", config_path, *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"dbmatch: error: {key} must be ")
+
+
+def test_flags_override_file_values(config_path):
+    cfg = load_config(config_path, masterSeed=9, threads=2, rateGrid=[0.3])
+    assert (cfg.master_seed, cfg.threads, cfg.rate_grid) == (9, 2, (0.3,))
+    cfg = load_config(config_path, masterSeed=None, threads=None, rateGrid=None)
+    assert (cfg.master_seed, cfg.threads, cfg.rate_grid) == (5, 1, (0.1, 0.2))
+
+
+def test_bad_grid_flag_exits_2(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", config_path, "--grid", "0.1,x"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_integral_floats_load_as_ints(tmp_path):
+    cfg = load_config(write_config(tmp_path, n=16.0, trials=3.0, mGrid=[100.0]))
+    assert (cfg.n, cfg.trials, cfg.m_grid) == (16, 3, (100,))
+    assert all(type(v) is int for v in (cfg.n, cfg.trials, *cfg.m_grid))
 
 
 def test_missing_config_file(capsys, tmp_path):

@@ -22,7 +22,7 @@ from dbmatch.probability import Channel, Pmf
 
 def test_point_mass_source_is_constant():
     rng = np.random.default_rng(0)
-    db = generate_unlabeled(20, 7, Pmf.point_mass(3, 2), rng)
+    db = generate_unlabeled(20, 7, Pmf([0, 0, 1]), rng)
     assert np.all(db.entries == 2)
 
 

@@ -28,12 +28,16 @@ from dbmatch.probability import (
     pipeline_scalars,
     recommend_seed_size,
     recommend_threshold,
-    repeat_mutual_information,
     replica_error_bounds,
 )
 from oracles import psi_profile
 
 IDENTITY_TOL = 1e-10
+
+
+def repeat_information(p_x, ch, s):
+    """I(X; Y^s): the count-s capacity term under a point-mass pS at s."""
+    return capacity_per_count(p_x, Pmf(np.eye(s + 1)[s]), ch)[s]
 
 
 def random_source_and_channel(rng, k):
@@ -51,7 +55,7 @@ def test_entropy_uniform_binary():
 
 
 def test_entropy_point_mass():
-    assert entropy(Pmf.point_mass(3, 1)) == 0.0
+    assert entropy(Pmf([0, 1, 0])) == 0.0
 
 
 def test_entropy_skewed_binary():
@@ -315,14 +319,14 @@ def test_capacity_no_repetition_is_single_use_information():
         k = int(rng.integers(2, 5))
         p_x, ch = random_source_and_channel(rng, k)
         cap = capacity(p_x, Pmf([0.0, 1.0]), ch)
-        assert cap == pytest.approx(repeat_mutual_information(p_x, ch, 1), abs=IDENTITY_TOL)
+        assert cap == pytest.approx(repeat_information(p_x, ch, 1), abs=IDENTITY_TOL)
 
 
 def test_capacity_mixed_repetitions_frozen_value():
     # oracle: read-tuple enumeration; 0.5*I(X;Y) + 0.3*I(X;Y^2)
     cap = capacity(Pmf.uniform(2), Pmf([0.2, 0.5, 0.3]), Channel.symmetric(2, 0.1))
     assert cap == pytest.approx(0.48812796077027465, abs=1e-12)
-    assert repeat_mutual_information(
+    assert repeat_information(
         Pmf.uniform(2), Channel.symmetric(2, 0.1), 1
     ) == pytest.approx(0.5310044064107188, abs=1e-12)
 
@@ -374,7 +378,7 @@ def test_capacity_large_smax_closed_forms():
     assert max(info) <= 1.0
     assert all(b >= a for a, b in zip(info, info[1:]))
     assert info[200] == pytest.approx(1.0, abs=1e-12)
-    assert info[200] == pytest.approx(repeat_mutual_information(Pmf.uniform(2), bsc, 200), abs=1e-15)
+    assert info[200] == pytest.approx(repeat_information(Pmf.uniform(2), bsc, 200), abs=1e-15)
 
 
 def test_capacity_at_s_max_200_is_fast():
@@ -449,7 +453,7 @@ def test_type_based_laws_equal_tuple_oracle():
         seen.add((k, s))
         joints = [naive_tuple_joint(p_x, ch, t) for t in range(s + 1)]
         infos = [naive_mutual_information(j) for j in joints]
-        assert repeat_mutual_information(p_x, ch, s) == pytest.approx(infos[s], abs=1e-12)
+        assert repeat_information(p_x, ch, s) == pytest.approx(infos[s], abs=1e-12)
         per = capacity_per_count(p_x, p_s, ch)
         for t in range(s + 1):
             assert per[t] == pytest.approx(p_s[t] * infos[t], abs=1e-12)
