@@ -141,8 +141,12 @@ def detect_deletions(
     if k_tilde > n:
         raise RunMismatch(f"{k_tilde} runs exceed the {n} source columns")
     g2s = sigma.apply(g2_collapsed)
-    # mismatch[a, j]: rows where source column a differs from noisy column j
-    mismatch = (g1[:, :, None] != g2s[:, None, :]).sum(axis=0).astype(np.int64)
+    # mismatch[a, j]: rows where source column a differs from noisy column j,
+    # b minus the rows where they agree, summed symbol by symbol
+    agree = np.zeros((n, k_tilde))
+    for sym in range(sigma.size):
+        agree += (g1 == sym).T.astype(float) @ (g2s == sym).astype(float)
+    mismatch = g1.shape[0] - agree.astype(np.int64)
 
     # best[a, j]: least mismatch aligning source columns a.. onto noisy j..
     best = np.empty((n + 1, k_tilde + 1), dtype=np.int64)

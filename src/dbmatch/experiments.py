@@ -32,6 +32,8 @@ from .errors import (
 from .probability import Channel, Pmf
 
 MIN_RECOMMENDED_TRIALS = 30
+# log2 of the row count a rate may ask for: 2.0 ** 1024 overflows a float
+_MAX_ROWS_LOG2 = 1024
 _CI_Z = 1.96
 
 
@@ -76,6 +78,10 @@ class ExperimentConfig:
             raise ValidationError("alphabetSize, pX and channel disagree")
         if (self.rate is None) == (self.m is None):
             raise ValidationError("exactly one of rate / m must be given")
+        # 2**(n * rate) rows overflow a float, far beyond any entry cap
+        for key, rates in (("rate", (self.rate,) if self.m is None else ()), ("rateGrid", self.rate_grid)):
+            if any(self.n * r >= _MAX_ROWS_LOG2 for r in rates):
+                raise MemoryCapExceeded(f"{key} must be < {_MAX_ROWS_LOG2 / self.n!r} at n = {self.n}")
 
     @property
     def rows(self) -> int:
@@ -107,6 +113,7 @@ CONFIG_FIELDS = {
     "threads": ("threads", "int", 1),
 }
 _NUMBER = (float, int, np.floating, np.integer)  # bool, an int, is refused apart
+_FLOAT_MAX = sys.float_info.max
 _NO_DEFAULT = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 _REQUIRED = [key for key, (attr, *_) in CONFIG_FIELDS.items() if attr in _NO_DEFAULT]
 
@@ -118,12 +125,19 @@ def _read(key: str, kind: str, value):
         # value % 1 is nonzero, or NaN, unless the number is integral
         if isinstance(value, bool) or not isinstance(value, _NUMBER) or kind == "int" and value % 1:
             raise ValidationError(f"{key}: {value!r} is not {what}")
-        return int(value) if kind == "int" else float(value)
+        if kind == "int":
+            return int(value)
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, an infinity or a too-large integer
+            raise ValidationError(f"{key}: {value!r} is not a finite number")
+        return float(value)
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{key}: {value!r} is not an array")
     if kind in ("ints", "floats"):
-        plain = int if kind == "ints" else float  # taken as is; other types are checked
-        return tuple(v if type(v) is plain else _read(key, kind[:-1], v) for v in value)
+        plain = int if kind == "ints" else float  # a finite one taken as is; others are checked
+        return tuple(
+            v if type(v) is plain and -_FLOAT_MAX <= v <= _FLOAT_MAX else _read(key, kind[:-1], v)
+            for v in value
+        )
     if kind == "pmf":
         return Pmf(_read(key, "floats", value), name=key)
     if value and isinstance(value[0], (list, tuple)):

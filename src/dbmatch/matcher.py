@@ -8,7 +8,12 @@ per-column log-probability averages (source side, observed side, joint)
 must each lie within epsilon of the corresponding entropy; any zero
 probability factor rejects outright.
 
-Row scans are pure and parallelize over matched rows.
+The scan scores a block of source rows against a tile of matched rows
+with one matmul: a matched row's cell log-likelihoods form a row over
+(column, symbol), and a source row is a one-hot row over the same axis.
+Blocks start small and double up to a fixed entry budget, a row leaves
+the scan once two source rows accept it, and no array the scan builds
+exceeds the budget.  Row scans are pure and parallelize over matched rows.
 """
 
 from __future__ import annotations
@@ -21,14 +26,21 @@ from .errors import ArityMismatch, ValidationError
 from .model import GroundTruth, LabeledDatabase, RepetitionPattern, UnlabeledDatabase
 from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
 
-# score entries (matched rows x source rows) per block of the scan; each
-# float64 block array takes 16 MiB
+# entries per array of the scan: the score block (live rows x source rows),
+# the one-hot block (source rows x n * k) and a tile's cell table (rows x
+# n * k); each float64 array takes at most 16 MiB
 _SCAN_BLOCK_ENTRIES = 1 << 21
+# source rows in a tile's first block; each later block doubles, up to the budget
+_FIRST_BLOCK_ROWS = 64
 
 OUTCOME_CORRECT = "matched-correct"
 OUTCOME_WRONG = "matched-wrong"
 OUTCOME_AMBIGUOUS = "ambiguous"
 OUTCOME_NONE = "none"
+# an outcome by its accept count capped at 2, and a matched row's by its truth
+_BY_COUNT = np.array([OUTCOME_NONE, "matched", OUTCOME_AMBIGUOUS], dtype=object)
+_BY_TRUTH = np.array([OUTCOME_WRONG, OUTCOME_CORRECT], dtype=object)
+_UNSCORED = frozenset((OUTCOME_NONE, OUTCOME_AMBIGUOUS)).__contains__
 
 
 def _count_log_table(p_s: Pmf, max_count: int) -> np.ndarray:
@@ -148,11 +160,13 @@ def _observed_side_stats(
     marked: MarkedDatabase, rows: np.ndarray, law: TripleLaw
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-row observed-side empirical average, the count-term constant,
-    and per-symbol cell count matrices for the scoring matmul."""
-    n = marked.n
+    and the cell log-likelihood table L[i, j * k + x] = sum_l log2 W(y_il | x)
+    over the reads y_il of row i's cell j (zero for an erased cell)."""
+    n, k = marked.n, law.p_x.size
     counts = marked.counts
     y = marked.entries[rows]
-    lp_s = _count_log_table(law.p_s, int(counts.max()) if counts.size else 0)
+    s_max = int(counts.max()) if counts.size else 0
+    lp_s = _count_log_table(law.p_s, s_max)
     s_const = float(lp_s[counts].sum())
     obs = np.full(len(rows), s_const)
     for j in range(n):
@@ -161,19 +175,87 @@ def _observed_side_stats(
             continue
         off = int(marked.offsets[j])
         cell = y[:, off : off + s]
-        cond = np.ones((law.p_x.size, len(rows)))
+        cond = np.ones((k, len(rows)))
         for l in range(s):
             cond *= law.ch.rows[:, cell[:, l]]
         mass = law.p_x.probs @ cond
         obs += _safe_log2(mass)
-    # symbol counts per (row, source column) for the joint-score matmul
-    k = law.p_x.size
-    col_of = np.repeat(np.arange(n), counts)
-    seg = np.zeros((marked.entries.shape[1], n))
-    if col_of.size:
-        seg[np.arange(col_of.size), col_of] = 1.0
-    cnt = np.stack([(y == sym).astype(float) @ seg for sym in range(k)])
-    return obs, s_const, cnt
+    # row y holds log2 W(y | x) over x; row k, zeros, stands for a missing read
+    lp_read = np.append(_safe_log2(law.ch.rows).T, np.zeros((1, k)), axis=0)
+    table = np.zeros((len(rows), n, k))
+    for l in range(s_max):
+        # read l of every cell, or row k where the cell has none (its clipped
+        # index only keeps the gather in range)
+        at = np.minimum(marked.offsets + l, y.shape[1] - 1)
+        read = np.take(lp_read, np.where(counts > l, y[:, at], np.intp(k)), axis=0)
+        if l:
+            table += read
+        else:
+            table = read
+    return obs, s_const, table.reshape(len(rows), n * k)
+
+
+def _one_hot(x_blk: np.ndarray, k: int) -> np.ndarray:
+    """Source rows as indicator rows over (column, symbol): block x n * k."""
+    b, n = x_blk.shape
+    hot = np.zeros((b, n * k))
+    hot.reshape(-1)[(np.arange(b) * (n * k))[:, None] + np.arange(n) * k + x_blk] = 1.0
+    return hot
+
+
+def _scan_tile(
+    d1: UnlabeledDatabase,
+    marked: MarkedDatabase,
+    params: TypicalityParams,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accept counts (exact below 2) and first accepted source row, one tile of rows.
+
+    Source rows are scored in blocks that start at _FIRST_BLOCK_ROWS and
+    double while the score and one-hot blocks fit the budget; a row leaves
+    the scan once it has two accepts, and the scan ends when none is left.
+    """
+    law = params.law
+    eps = params.epsilon
+    n, k = marked.n, law.p_x.size
+    budget = _SCAN_BLOCK_ENTRIES
+    lp_x = _safe_log2(law.p_x.probs)
+
+    obs, s_const, table = _observed_side_stats(marked, rows, law)
+    # a row outside the observed-side window never accepts: it is never live
+    live = np.flatnonzero(np.abs(-obs / n - law.h_observed) < eps)
+    counts = np.zeros(len(rows), dtype=np.int64)
+    unique_idx = np.full(len(rows), -1, dtype=np.int64)
+    live_table = table[live]
+    block = _FIRST_BLOCK_ROWS
+    lo = 0
+    while lo < d1.m and live.size:
+        block = min(block, max(1, budget // max(live.size, n * k)))
+        hi = min(d1.m, lo + block)
+        x_blk = d1.entries[lo:hi]
+        src_terms = lp_x[x_blk].sum(axis=1)
+        src_ok = np.abs(-src_terms / n - law.h_source) < eps
+        joint = live_table @ _one_hot(x_blk, k).T
+        # the window test, in place: |-joint / n - h_joint| < eps
+        joint += s_const + src_terms
+        np.negative(joint, out=joint)
+        joint /= n
+        joint -= law.h_joint
+        np.abs(joint, out=joint)
+        ok = joint < eps
+        del joint  # free the score block before the next one is allocated
+        ok &= src_ok
+        blk_counts = np.count_nonzero(ok, axis=1)
+        first = np.argmax(ok, axis=1)
+        newly = (counts[live] == 0) & (blk_counts > 0)
+        unique_idx[live[newly]] = lo + first[newly]
+        counts[live] += blk_counts
+        still = counts[live] < 2
+        if not still.all():
+            live, live_table = live[still], live_table[still]
+        lo = hi
+        block *= 2
+    return counts, unique_idx
 
 
 def _match_rows_against_source(
@@ -182,49 +264,22 @@ def _match_rows_against_source(
     params: TypicalityParams,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scan every source row for each requested shuffled row.
+    """Scan the source rows for each requested shuffled row.
 
-    Returns (accept counts, unique candidate index or -1) per row.  Source
-    rows are scored in blocks of about _SCAN_BLOCK_ENTRIES scores, and the
-    scan ends once every row has at least two accepted candidates; neither
-    changes any outcome, which reads a count only as 0, 1 or more, and the
-    unique candidate is the first accepted row.
+    Returns (accept counts, unique candidate index or -1) per row.  Rows
+    are scanned in tiles whose cell table fits the _SCAN_BLOCK_ENTRIES
+    budget.  Neither tile nor block size changes an outcome: counts are
+    read only as 0, 1 or more, and the unique candidate is the first
+    accepted row.
     """
-    law = params.law
-    eps = params.epsilon
-    n = marked.n
     n_rows = len(rows)
-    lp_x = _safe_log2(law.p_x.probs)
-    lp_ch = _safe_log2(law.ch.rows)
-
-    obs, s_const, cnt = _observed_side_stats(marked, rows, law)
-    obs_ok = np.abs(-obs / n - law.h_observed) < eps
-
+    tile = max(1, _SCAN_BLOCK_ENTRIES // max(1, marked.n * params.law.p_x.size))
     counts = np.zeros(n_rows, dtype=np.int64)
     unique_idx = np.full(n_rows, -1, dtype=np.int64)
-    x_all = d1.entries
-    block = max(1, _SCAN_BLOCK_ENTRIES // max(1, n_rows))
-    for lo in range(0, d1.m, block):
-        hi = min(d1.m, lo + block)
-        x_blk = x_all[lo:hi]
-        src_terms = lp_x[x_blk].sum(axis=1)
-        src_ok = np.abs(-src_terms / n - law.h_source) < eps
-        joint = np.zeros((n_rows, hi - lo))
-        for sym in range(law.p_x.size):
-            joint += cnt[sym] @ lp_ch[x_blk, sym].T
-        joint += s_const + src_terms[None, :]
-        ok = (
-            obs_ok[:, None]
-            & src_ok[None, :]
-            & (np.abs(-joint / n - law.h_joint) < eps)
+    for lo in range(0, n_rows, tile):
+        counts[lo : lo + tile], unique_idx[lo : lo + tile] = _scan_tile(
+            d1, marked, params, rows[lo : lo + tile]
         )
-        blk_counts = ok.sum(axis=1)
-        first = np.argmax(ok, axis=1)
-        newly = (counts == 0) & (blk_counts > 0)
-        unique_idx[newly] = lo + first[newly]
-        counts += blk_counts
-        if np.all(counts >= 2):
-            break
     unique_idx[counts != 1] = -1
     return counts, unique_idx
 
@@ -249,20 +304,11 @@ def match_all(
     else:
         rows = np.asarray(match_rows, dtype=np.int64)
     counts, unique_idx = _match_rows_against_source(d1, marked, params, rows)
-    outcomes = []
-    assignment: dict[int, int] = {}
-    for pos, row in enumerate(rows):
-        if counts[pos] == 0:
-            outcomes.append(OUTCOME_NONE)
-        elif counts[pos] > 1:
-            outcomes.append(OUTCOME_AMBIGUOUS)
-        else:
-            outcomes.append("matched")
-            assignment[int(row)] = int(unique_idx[pos])
+    matched = counts == 1
     return MatchReport(
-        matched_rows=tuple(int(r) for r in rows),
-        outcomes=tuple(outcomes),
-        assignment=assignment,
+        matched_rows=tuple(rows.tolist()),
+        outcomes=tuple(_BY_COUNT[np.minimum(counts, 2)].tolist()),
+        assignment=dict(zip(rows[matched].tolist(), unique_idx[matched].tolist())),
     )
 
 
@@ -274,17 +320,17 @@ def evaluate(report: MatchReport, truth: GroundTruth) -> MatchReport:
     matched-correct, the uniformly-drawn-row estimator.
     """
     theta = truth.labeling.perm
-    outcomes = []
-    for row, outcome in zip(report.matched_rows, report.outcomes):
-        if outcome in (OUTCOME_NONE, OUTCOME_AMBIGUOUS):
-            outcomes.append(outcome)
-        else:
-            src = report.assignment[row]
-            outcomes.append(OUTCOME_CORRECT if theta[src] == row else OUTCOME_WRONG)
-    wrong = sum(1 for o in outcomes if o != OUTCOME_CORRECT)
+    outcomes = np.array(report.outcomes, dtype=object)
+    unscored = np.fromiter(map(_UNSCORED, report.outcomes), bool, len(outcomes))
+    pos = np.flatnonzero(~unscored)
+    rows = np.array(report.matched_rows, dtype=np.int64)[pos]
+    src = np.fromiter(map(report.assignment.__getitem__, rows.tolist()), np.int64, len(pos))
+    correct = theta[src] == rows
+    outcomes[pos] = _BY_TRUTH[correct.astype(np.intp)]
+    wrong = len(outcomes) - int(np.count_nonzero(correct))
     return MatchReport(
         matched_rows=report.matched_rows,
-        outcomes=tuple(outcomes),
+        outcomes=tuple(outcomes.tolist()),
         assignment=dict(report.assignment),
-        error_rate=wrong / len(outcomes) if outcomes else 0.0,
+        error_rate=wrong / len(outcomes) if len(outcomes) else 0.0,
     )

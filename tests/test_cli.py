@@ -181,11 +181,23 @@ WRONG_TYPES = {
     "pmf": _NOT_AN_ARRAY + [[0.5, "0.5"]],
     "channel": _NOT_AN_ARRAY + [[[0.9, 0.1], 0.1], [[0.9, "0.1"], [0.1, 0.9]]],
 }
+# NaN, the infinities and an integer beyond the float range, wherever a float goes
+NON_FINITE = {
+    "float": {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "huge-int": 10**400},
+    "floats": {"nan-entry": [0.1, float("nan")]},
+    "pmf": {"nan-entry": [0.5, float("nan")]},
+    "channel": {"inf-entry": [[0.9, float("inf")], [0.1, 0.9]]},
+}
 
 
 @pytest.mark.parametrize(
     "key, value",
-    [(key, value) for key, (_, kind, _) in CONFIG_FIELDS.items() for value in WRONG_TYPES[kind]],
+    [(key, value) for key, (_, kind, _) in CONFIG_FIELDS.items() for value in WRONG_TYPES[kind]]
+    + [
+        pytest.param(key, value, id=f"{key}-{label}")
+        for key, (_, kind, _) in CONFIG_FIELDS.items()
+        for label, value in NON_FINITE.get(kind, {}).items()
+    ],
 )
 def test_wrong_json_type_exits_2_naming_key(tmp_path, capsys, key, value):
     path = write_config(tmp_path, **{key: value})
@@ -211,6 +223,9 @@ def test_wrong_json_type_exits_2_naming_key(tmp_path, capsys, key, value):
         ("mGrid", [100, 0]),
         ("bGrid", [-1]),
         ("alphabetSize", 1),
+        # 2**(16 * 100) rows overflow a float
+        ("rate", 100),
+        ("rateGrid", [0.1, 64.0]),
     ],
 )
 def test_value_below_bound_exits_2_naming_key(tmp_path, capsys, key, value):

@@ -1,5 +1,7 @@
 """Detection stages: run recovery, deletion search, pattern assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,24 @@ def test_deletion_search_oracle_equivalence():
         ref_set, ref_dist = naive_deletion_search(g1, sigma.apply(g2))
         assert est.indices == ref_set
         assert est.min_distance == ref_dist
+
+
+def test_deletion_search_memory_is_bounded():
+    # b x n x k_tilde comparisons would take 164 MB as one bool tensor; the
+    # mismatch table is built from per-symbol matmuls of b x n matrices
+    rng = np.random.default_rng(5)
+    b, n = 2000, 320
+    g1 = rng.integers(0, 2, size=(b, n)).astype(np.uint8)
+    dels = sorted(rng.choice(n, size=64, replace=False).tolist())
+    kept = [j for j in range(n) if j not in dels]
+    tracemalloc.start()
+    try:
+        est = detect_deletions(g1, g1[:, kept], SymbolMap([0, 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.indices == tuple(dels) and est.min_distance == 0
+    assert peak < 32e6
 
 
 def test_seeded_deletion_monte_carlo():

@@ -172,41 +172,82 @@ def test_decoder_equivalence_with_enumeration():
                 assert ref == [report.assignment[row]]
 
 
-@pytest.mark.parametrize("budget", [1, 5, 12])
+# the k = 8 window channel: a read outside its support window is impossible,
+# so its cell log-likelihoods hold LOG_ZERO entries
+WINDOW_LAW = (
+    Pmf.uniform(8),
+    Channel(sum(np.roll(np.eye(8), d, axis=1) for d in range(6)) / 6),
+    Pmf([0.0, 0.6, 0.4]),
+)
+SCAN_CASES = [
+    # a wide window saturates rows partway through the scan (and may end it
+    # early); a narrower one leaves unique and empty rows
+    ((P_X, CH, P_S), (0.45, 1.0, 3.0)),
+    (WINDOW_LAW, (0.3, 0.6, 2.0)),
+    # so narrow that some rows fail the observed-side window and never scan
+    ((P_X, CH, P_S), (0.1, 0.15, 0.2)),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 12, 40])
 def test_small_scan_blocks_match_oracle(monkeypatch, budget):
-    # blocks of one to a few source rows: a wide window saturates rows
-    # partway through the scan (and may end it early), a narrow one leaves
-    # unique and empty rows; outcomes must not depend on the block size
-    rng = np.random.default_rng(88)
-    for trial in range(18):
-        params = TypicalityParams.from_components(
-            P_X, CH, P_S, epsilon=(0.45, 1.0, 3.0)[trial % 3]
-        )
-        st = substreams(8000 + trial)
-        m, n = int(rng.integers(4, 17)), int(rng.integers(2, 9))
-        d1 = generate_unlabeled(m, n, P_X, st.database)
-        pat = sample_pattern(n, P_S, st.pattern)
-        lab = sample_labeling(m, st.labeling)
-        d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-        marked = build_marked(d2, pat)
-        rows = None
-        if trial % 2:
-            rows = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
-        whole = match_all(d1, marked, params, match_rows=rows)
-        with monkeypatch.context() as patch:
-            patch.setattr(matcher, "_SCAN_BLOCK_ENTRIES", budget)
-            report = match_all(d1, marked, params, match_rows=rows)
-        assert report == whole
-        for pos, row in enumerate(report.matched_rows):
-            ref = naive_accept_set(
-                d1.entries, d2.entries[row], pat.counts, P_X, CH, P_S, params.epsilon
-            )
-            if report.outcomes[pos] == OUTCOME_NONE:
-                assert ref == []
-            elif report.outcomes[pos] == OUTCOME_AMBIGUOUS:
-                assert len(ref) >= 2
-            else:
-                assert ref == [report.assignment[row]]
+    # blocks of one to a few source rows, growing from one, and tiles of one
+    # to a few matched rows: outcomes must not depend on either size
+    obs_failures = 0
+    for law, epsilons in SCAN_CASES:
+        p_x, ch, p_s = law
+        rng = np.random.default_rng(88)
+        for trial in range(18):
+            params = TypicalityParams.from_components(*law, epsilon=epsilons[trial % 3])
+            st = substreams(8000 + trial)
+            m, n = int(rng.integers(4, 17)), int(rng.integers(2, 9))
+            d1 = generate_unlabeled(m, n, p_x, st.database)
+            pat = sample_pattern(n, p_s, st.pattern)
+            lab = sample_labeling(m, st.labeling)
+            d2 = apply_repetition_noise(d1, pat, lab, ch, st.noise)
+            marked = build_marked(d2, pat)
+            rows = None
+            if trial % 2:
+                rows = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
+            whole = match_all(d1, marked, params, match_rows=rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(matcher, "_SCAN_BLOCK_ENTRIES", budget)
+                patch.setattr(matcher, "_FIRST_BLOCK_ROWS", 1)
+                report = match_all(d1, marked, params, match_rows=rows)
+            assert report == whole
+            obs, _, _ = matcher._observed_side_stats(marked, np.asarray(report.matched_rows), params.law)
+            obs_failures += int(np.sum(np.abs(-obs / n - params.law.h_observed) >= params.epsilon))
+            for pos, row in enumerate(report.matched_rows):
+                ref = naive_accept_set(d1.entries, d2.entries[row], pat.counts, *law, params.epsilon)
+                if report.outcomes[pos] == OUTCOME_NONE:
+                    assert ref == []
+                elif report.outcomes[pos] == OUTCOME_AMBIGUOUS:
+                    assert len(ref) >= 2
+                else:
+                    assert ref == [report.assignment[row]]
+    assert obs_failures > 0
+
+
+def test_scan_stops_once_every_row_saturates(monkeypatch):
+    # a window wide enough that every source row is typical with every row:
+    # two accepts each, found in the first block, end the scan
+    st = substreams(31)
+    m, n = 4096, 12
+    d1 = generate_unlabeled(m, n, P_X, st.database)
+    pat = sample_pattern(n, P_S, st.pattern)
+    d2 = apply_repetition_noise(d1, pat, sample_labeling(m, st.labeling), CH, st.noise)
+    params = TypicalityParams.from_components(P_X, CH, P_S, epsilon=50.0)
+    blocks = []
+    one_hot = matcher._one_hot
+
+    def recording(x_blk, k):
+        blocks.append(x_blk.shape[0])
+        return one_hot(x_blk, k)
+
+    monkeypatch.setattr(matcher, "_one_hot", recording)
+    report = match_all(d1, build_marked(d2, pat), params, match_rows=np.arange(40))
+    assert report.outcomes == (OUTCOME_AMBIGUOUS,) * 40
+    assert sum(blocks) <= m // 64
 
 
 def test_full_match_memory_is_bounded():
@@ -228,7 +269,8 @@ def test_full_match_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(report.matched_rows) == m
-    assert peak < 96e6
+    # a few arrays of at most _SCAN_BLOCK_ENTRIES entries (16 MiB as float64)
+    assert peak < 32e6
 
 
 def test_match_single_row():
