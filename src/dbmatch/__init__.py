@@ -38,7 +38,6 @@ from .experiments import (
 from .matcher import (
     MarkedDatabase,
     MatchReport,
-    TripleLaw,
     TypicalityParams,
     build_marked,
     evaluate,

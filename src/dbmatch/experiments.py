@@ -216,8 +216,9 @@ def _params_cached(
 
 
 def config_params(cfg: ExperimentConfig) -> matcher.TypicalityParams:
-    """Typicality window and law for a config; memoized, they are
-    trial-invariant (the law holds the capacity sum over read types)."""
+    """A config's TypicalityParams: the window, the column law and its
+    entropies; memoized, as they are trial-invariant (h_observed holds the
+    capacity sum over read types)."""
     p_x, p_s, ch = cfg.p_x.probs.tobytes(), cfg.p_s.probs.tobytes(), cfg.channel.rows.tobytes()
     return _params_cached(p_x, p_s, ch, cfg.alphabet_size, cfg.epsilon)
 

@@ -6,7 +6,8 @@ rows to the unique source row that is jointly typical with it under the
 Typicality is the weak, entropy-based flavor: the three empirical
 per-column log-probability averages (source side, observed side, joint)
 must each lie within epsilon of the corresponding entropy; any zero
-probability factor rejects outright.
+probability factor rejects outright.  TypicalityParams holds epsilon, the
+column law (pX, channel, pS) and its three entropies.
 
 The scan scores a block of source rows against a tile of matched rows
 with one matmul: a matched row's cell log-likelihoods form a row over
@@ -27,7 +28,7 @@ from .model import GroundTruth, LabeledDatabase, RepetitionPattern, UnlabeledDat
 from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
 
 # entries per array of the scan: the score block (live rows x source rows),
-# the one-hot block (source rows x n * k) and a tile's cell table (rows x
+# the one-hot block (source rows x n * k) and a tile's cell tables (rows x
 # n * k); each float64 array takes at most 16 MiB
 _SCAN_BLOCK_ENTRIES = 1 << 21
 # source rows in a tile's first block; each later block doubles, up to the budget
@@ -41,14 +42,6 @@ OUTCOME_NONE = "none"
 _BY_COUNT = np.array([OUTCOME_NONE, "matched", OUTCOME_AMBIGUOUS], dtype=object)
 _BY_TRUTH = np.array([OUTCOME_WRONG, OUTCOME_CORRECT], dtype=object)
 _UNSCORED = frozenset((OUTCOME_NONE, OUTCOME_AMBIGUOUS)).__contains__
-
-
-def _count_log_table(p_s: Pmf, max_count: int) -> np.ndarray:
-    """log2 p_s lookup covering counts up to max_count; counts beyond the
-    support carry zero mass (a misdetected run longer than s_max)."""
-    table = np.full(max(max_count + 1, p_s.size), LOG_ZERO)
-    table[: p_s.size] = _safe_log2(p_s.probs)
-    return table
 
 
 @dataclass(frozen=True)
@@ -87,45 +80,17 @@ def build_marked(d2: LabeledDatabase, s_hat: RepetitionPattern) -> MarkedDatabas
 
 
 @dataclass(frozen=True)
-class TripleLaw:
-    """Precomputed law of one (source symbol, read tuple, count) column."""
+class TypicalityParams:
+    """Acceptance window and the (source symbol, read tuple, count) column
+    law it is measured against, with the law's three entropies."""
 
+    epsilon: float
     p_x: Pmf
     ch: Channel
     p_s: Pmf
     h_source: float
     h_observed: float
     h_joint: float
-
-    @staticmethod
-    def from_components(p_x: Pmf, ch: Channel, p_s: Pmf) -> "TripleLaw":
-        h_x = entropy(p_x)
-        h_s = entropy(p_s)
-        h_y_given_x = float(
-            sum(
-                p_x[x] * entropy(Pmf(ch.rows[x]))
-                for x in range(ch.size)
-                if p_x[x] > 0
-            )
-        )
-        mean_s = float(sum(s * p_s[s] for s in range(p_s.size)))
-        return TripleLaw(
-            p_x=p_x,
-            ch=ch,
-            p_s=p_s,
-            h_source=h_x,
-            # H(S) + sum_s p_s(s) H(Y^s), as H(Y^s) = I(X; Y^s) + s H(Y|X)
-            h_observed=h_s + capacity(p_x, p_s, ch) + mean_s * h_y_given_x,
-            h_joint=h_x + h_s + mean_s * h_y_given_x,
-        )
-
-
-@dataclass(frozen=True)
-class TypicalityParams:
-    """Acceptance window and the distribution it is measured against."""
-
-    epsilon: float
-    law: TripleLaw
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -135,10 +100,23 @@ class TypicalityParams:
     def from_components(
         p_x: Pmf, ch: Channel, p_s: Pmf, epsilon: float | None = None
     ) -> "TypicalityParams":
-        law = TripleLaw.from_components(p_x, ch, p_s)
-        if epsilon is None:
-            epsilon = 0.1 * law.h_joint
-        return TypicalityParams(epsilon=epsilon, law=law)
+        h_x = entropy(p_x)
+        h_s = entropy(p_s)
+        h_y_given_x = float(
+            sum(p_x[x] * entropy(Pmf(ch.rows[x])) for x in range(ch.size) if p_x[x] > 0)
+        )
+        mean_s = float(sum(s * p_s[s] for s in range(p_s.size)))
+        h_joint = h_x + h_s + mean_s * h_y_given_x
+        return TypicalityParams(
+            epsilon=0.1 * h_joint if epsilon is None else epsilon,
+            p_x=p_x,
+            ch=ch,
+            p_s=p_s,
+            h_source=h_x,
+            # H(S) + sum_s p_s(s) H(Y^s), as H(Y^s) = I(X; Y^s) + s H(Y|X)
+            h_observed=h_s + capacity(p_x, p_s, ch) + mean_s * h_y_given_x,
+            h_joint=h_joint,
+        )
 
 
 @dataclass(frozen=True)
@@ -157,41 +135,36 @@ class MatchReport:
 
 
 def _observed_side_stats(
-    marked: MarkedDatabase, rows: np.ndarray, law: TripleLaw
+    marked: MarkedDatabase, rows: np.ndarray, params: TypicalityParams
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-row observed-side empirical average, the count-term constant,
     and the cell log-likelihood table L[i, j * k + x] = sum_l log2 W(y_il | x)
     over the reads y_il of row i's cell j (zero for an erased cell)."""
-    n, k = marked.n, law.p_x.size
+    n, k = marked.n, params.p_x.size
     counts = marked.counts
     y = marked.entries[rows]
     s_max = int(counts.max()) if counts.size else 0
-    lp_s = _count_log_table(law.p_s, s_max)
+    # log2 p_s over counts up to s_max; a count beyond the support (a
+    # misdetected run longer than s_max) carries zero mass
+    lp_s = np.full(max(s_max + 1, params.p_s.size), LOG_ZERO)
+    lp_s[: params.p_s.size] = _safe_log2(params.p_s.probs)
     s_const = float(lp_s[counts].sum())
-    obs = np.full(len(rows), s_const)
-    for j in range(n):
-        s = int(counts[j])
-        if s == 0:
-            continue
-        off = int(marked.offsets[j])
-        cell = y[:, off : off + s]
-        cond = np.ones((k, len(rows)))
-        for l in range(s):
-            cond *= law.ch.rows[:, cell[:, l]]
-        mass = law.p_x.probs @ cond
-        obs += _safe_log2(mass)
-    # row y holds log2 W(y | x) over x; row k, zeros, stands for a missing read
-    lp_read = np.append(_safe_log2(law.ch.rows).T, np.zeros((1, k)), axis=0)
+    # row y holds W(y | x), or its log2, over x; row k stands for a missing read
+    w_read = np.append(params.ch.rows.T, np.ones((1, k)), axis=0)
+    lp_read = np.append(_safe_log2(params.ch.rows).T, np.zeros((1, k)), axis=0)
+    cond = np.ones((len(rows), n, k))
     table = np.zeros((len(rows), n, k))
     for l in range(s_max):
         # read l of every cell, or row k where the cell has none (its clipped
         # index only keeps the gather in range)
         at = np.minimum(marked.offsets + l, y.shape[1] - 1)
-        read = np.take(lp_read, np.where(counts > l, y[:, at], np.intp(k)), axis=0)
-        if l:
-            table += read
-        else:
-            table = read
+        read = np.where(counts > l, y[:, at], np.intp(k))
+        cond *= w_read[read]
+        table += lp_read[read]
+    mass = _safe_log2(cond @ params.p_x.probs)
+    obs = np.full(len(rows), s_const)
+    for j in np.flatnonzero(counts):
+        obs += mass[:, j]
     return obs, s_const, table.reshape(len(rows), n * k)
 
 
@@ -215,15 +188,14 @@ def _scan_tile(
     double while the score and one-hot blocks fit the budget; a row leaves
     the scan once it has two accepts, and the scan ends when none is left.
     """
-    law = params.law
     eps = params.epsilon
-    n, k = marked.n, law.p_x.size
+    n, k = marked.n, params.p_x.size
     budget = _SCAN_BLOCK_ENTRIES
-    lp_x = _safe_log2(law.p_x.probs)
+    lp_x = _safe_log2(params.p_x.probs)
 
-    obs, s_const, table = _observed_side_stats(marked, rows, law)
+    obs, s_const, table = _observed_side_stats(marked, rows, params)
     # a row outside the observed-side window never accepts: it is never live
-    live = np.flatnonzero(np.abs(-obs / n - law.h_observed) < eps)
+    live = np.flatnonzero(np.abs(-obs / n - params.h_observed) < eps)
     counts = np.zeros(len(rows), dtype=np.int64)
     unique_idx = np.full(len(rows), -1, dtype=np.int64)
     live_table = table[live]
@@ -234,13 +206,13 @@ def _scan_tile(
         hi = min(d1.m, lo + block)
         x_blk = d1.entries[lo:hi]
         src_terms = lp_x[x_blk].sum(axis=1)
-        src_ok = np.abs(-src_terms / n - law.h_source) < eps
+        src_ok = np.abs(-src_terms / n - params.h_source) < eps
         joint = live_table @ _one_hot(x_blk, k).T
         # the window test, in place: |-joint / n - h_joint| < eps
         joint += s_const + src_terms
         np.negative(joint, out=joint)
         joint /= n
-        joint -= law.h_joint
+        joint -= params.h_joint
         np.abs(joint, out=joint)
         ok = joint < eps
         del joint  # free the score block before the next one is allocated
@@ -258,32 +230,6 @@ def _scan_tile(
     return counts, unique_idx
 
 
-def _match_rows_against_source(
-    d1: UnlabeledDatabase,
-    marked: MarkedDatabase,
-    params: TypicalityParams,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scan the source rows for each requested shuffled row.
-
-    Returns (accept counts, unique candidate index or -1) per row.  Rows
-    are scanned in tiles whose cell table fits the _SCAN_BLOCK_ENTRIES
-    budget.  Neither tile nor block size changes an outcome: counts are
-    read only as 0, 1 or more, and the unique candidate is the first
-    accepted row.
-    """
-    n_rows = len(rows)
-    tile = max(1, _SCAN_BLOCK_ENTRIES // max(1, marked.n * params.law.p_x.size))
-    counts = np.zeros(n_rows, dtype=np.int64)
-    unique_idx = np.full(n_rows, -1, dtype=np.int64)
-    for lo in range(0, n_rows, tile):
-        counts[lo : lo + tile], unique_idx[lo : lo + tile] = _scan_tile(
-            d1, marked, params, rows[lo : lo + tile]
-        )
-    unique_idx[counts != 1] = -1
-    return counts, unique_idx
-
-
 def match_all(
     d1: UnlabeledDatabase,
     marked: MarkedDatabase,
@@ -296,6 +242,11 @@ def match_all(
     ambiguous when several are, and unmatched when none is.  match_rows
     restricts the scan to a subset of shuffled rows (the per-row outcome
     law is unchanged; this is the uniformly-drawn-row error estimator).
+
+    Rows are scanned in tiles whose cell table fits the _SCAN_BLOCK_ENTRIES
+    budget.  Neither tile nor block size changes an outcome: counts are
+    read only as 0, 1 or more, and a matched row's candidate is the first
+    accepted source row.
     """
     if d1.n != marked.n:
         raise ValidationError("source and marked views disagree on column count")
@@ -303,7 +254,15 @@ def match_all(
         rows = np.arange(marked.m)
     else:
         rows = np.asarray(match_rows, dtype=np.int64)
-    counts, unique_idx = _match_rows_against_source(d1, marked, params, rows)
+        if rows.size and not (0 <= rows.min() and rows.max() < marked.m):
+            raise ValidationError(f"match rows must lie in 0..{marked.m - 1}")
+    tile = max(1, _SCAN_BLOCK_ENTRIES // max(1, marked.n * params.p_x.size))
+    counts = np.zeros(len(rows), dtype=np.int64)
+    unique_idx = np.full(len(rows), -1, dtype=np.int64)
+    for lo in range(0, len(rows), tile):
+        counts[lo : lo + tile], unique_idx[lo : lo + tile] = _scan_tile(
+            d1, marked, params, rows[lo : lo + tile]
+        )
     matched = counts == 1
     return MatchReport(
         matched_rows=tuple(rows.tolist()),

@@ -129,10 +129,6 @@ class SymbolMap:
     def apply(self, symbols: np.ndarray) -> np.ndarray:
         return self.map[symbols]
 
-    @staticmethod
-    def identity(k: int) -> "SymbolMap":
-        return SymbolMap(np.arange(k))
-
 
 @dataclass(frozen=True)
 class Scalars:

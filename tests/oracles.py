@@ -4,7 +4,8 @@ are pinned against; shared by the unit and acceptance tests."""
 import itertools
 import math
 
-from dbmatch.matcher import TripleLaw
+from dbmatch.matcher import TypicalityParams
+from dbmatch.probability import LOG_ZERO
 
 
 def psi_profile(p_x, ch):
@@ -33,9 +34,40 @@ def naive_deletion_search(g1, g2_sigma):
     return best_set, best
 
 
+def naive_observed_stats(y_rows, counts, p_x, ch, p_s):
+    """Independent per-cell loops for the observed side: per row, the sum of
+    log2 pS(s) over columns plus log2 sum_x pX(x) prod_l W(y_l | x) over
+    non-erased cells, and the cell table sum_l log2 W(y_l | x) at j * k + x.
+    A zero probability counts as LOG_ZERO."""
+
+    def log2(v):
+        return math.log2(v) if v > 0 else LOG_ZERO
+
+    k, n = p_x.size, len(counts)
+    obs, table = [], []
+    for y_row in y_rows:
+        total = 0.0
+        cells = [0.0] * (n * k)
+        off = 0
+        for j in range(n):
+            s = int(counts[j])
+            cell = [int(v) for v in y_row[off : off + s]]
+            off += s
+            total += log2(p_s[s] if s < p_s.size else 0.0)
+            if s:
+                total += log2(
+                    sum(p_x[x] * math.prod(ch.rows[x, y] for y in cell) for x in range(k))
+                )
+            for x in range(k):
+                cells[j * k + x] = sum(log2(ch.rows[x, y]) for y in cell)
+        obs.append(total)
+        table.append(cells)
+    return obs, table
+
+
 def naive_accept_set(x_rows, y_row, counts, p_x, ch, p_s, eps):
     """Independent re-implementation of the three window conditions."""
-    law = TripleLaw.from_components(p_x, ch, p_s)
+    params = TypicalityParams.from_components(p_x, ch, p_s, epsilon=eps)
     accepted = []
     n = len(counts)
     for i, x_row in enumerate(x_rows):
@@ -62,9 +94,9 @@ def naive_accept_set(x_rows, y_row, counts, p_x, ch, p_s, eps):
             obs += math.log2(ps) + math.log2(pcell)
             joint += math.log2(ps) + math.log2(px) + math.log2(pcell_x)
         if not dead and (
-            abs(-src / n - law.h_source) < eps
-            and abs(-obs / n - law.h_observed) < eps
-            and abs(-joint / n - law.h_joint) < eps
+            abs(-src / n - params.h_source) < eps
+            and abs(-obs / n - params.h_observed) < eps
+            and abs(-joint / n - params.h_joint) < eps
         ):
             accepted.append(i)
     return accepted

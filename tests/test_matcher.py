@@ -12,7 +12,6 @@ from dbmatch.matcher import (
     OUTCOME_CORRECT,
     OUTCOME_NONE,
     MatchReport,
-    TripleLaw,
     TypicalityParams,
     build_marked,
     evaluate,
@@ -31,7 +30,7 @@ from dbmatch.model import (
     substreams,
 )
 from dbmatch.probability import Channel, Pmf, capacity
-from oracles import naive_accept_set
+from oracles import naive_accept_set, naive_observed_stats
 
 
 P_X = Pmf.uniform(2)
@@ -94,7 +93,7 @@ def test_build_marked_is_lossless():
 # --- per-column law --------------------------------------------------------------
 
 def test_triple_law_entropies():
-    law = TripleLaw.from_components(P_X, CH, P_S)
+    law = TypicalityParams.from_components(P_X, CH, P_S)
     # oracle values: H(X)=1, H(S)+sum_s p(s)H(Y^s), H(X)+H(S)+E[S]H(Y|X)
     assert law.h_source == pytest.approx(1.0, abs=1e-12)
     assert law.h_observed == pytest.approx(2.489498410945818, abs=1e-12)
@@ -108,7 +107,7 @@ def test_triple_law_entropies():
 
 def test_default_epsilon_scales_with_joint_entropy():
     params = TypicalityParams.from_components(P_X, CH, P_S)
-    assert params.epsilon == pytest.approx(0.1 * params.law.h_joint)
+    assert params.epsilon == pytest.approx(0.1 * params.h_joint)
     with pytest.raises(ValidationError):
         TypicalityParams.from_components(P_X, CH, P_S, epsilon=0.0)
 
@@ -180,12 +179,15 @@ WINDOW_LAW = (
     Pmf([0.0, 0.6, 0.4]),
 )
 SCAN_CASES = [
+    # (law, windows, the pmf the counts are drawn from)
     # a wide window saturates rows partway through the scan (and may end it
     # early); a narrower one leaves unique and empty rows
-    ((P_X, CH, P_S), (0.45, 1.0, 3.0)),
-    (WINDOW_LAW, (0.3, 0.6, 2.0)),
+    ((P_X, CH, P_S), (0.45, 1.0, 3.0), P_S),
+    (WINDOW_LAW, (0.3, 0.6, 2.0), WINDOW_LAW[2]),
     # so narrow that some rows fail the observed-side window and never scan
-    ((P_X, CH, P_S), (0.1, 0.15, 0.2)),
+    ((P_X, CH, P_S), (0.1, 0.15, 0.2), P_S),
+    # a count of 3 lies beyond pS's support: its rows have zero mass
+    ((P_X, CH, P_S), (0.45, 1.0, 3.0), Pmf([0.2, 0.4, 0.2, 0.2])),
 ]
 
 
@@ -194,7 +196,7 @@ def test_small_scan_blocks_match_oracle(monkeypatch, budget):
     # blocks of one to a few source rows, growing from one, and tiles of one
     # to a few matched rows: outcomes must not depend on either size
     obs_failures = 0
-    for law, epsilons in SCAN_CASES:
+    for law, epsilons, count_pmf in SCAN_CASES:
         p_x, ch, p_s = law
         rng = np.random.default_rng(88)
         for trial in range(18):
@@ -202,7 +204,7 @@ def test_small_scan_blocks_match_oracle(monkeypatch, budget):
             st = substreams(8000 + trial)
             m, n = int(rng.integers(4, 17)), int(rng.integers(2, 9))
             d1 = generate_unlabeled(m, n, p_x, st.database)
-            pat = sample_pattern(n, p_s, st.pattern)
+            pat = sample_pattern(n, count_pmf, st.pattern)
             lab = sample_labeling(m, st.labeling)
             d2 = apply_repetition_noise(d1, pat, lab, ch, st.noise)
             marked = build_marked(d2, pat)
@@ -215,8 +217,12 @@ def test_small_scan_blocks_match_oracle(monkeypatch, budget):
                 patch.setattr(matcher, "_FIRST_BLOCK_ROWS", 1)
                 report = match_all(d1, marked, params, match_rows=rows)
             assert report == whole
-            obs, _, _ = matcher._observed_side_stats(marked, np.asarray(report.matched_rows), params.law)
-            obs_failures += int(np.sum(np.abs(-obs / n - params.law.h_observed) >= params.epsilon))
+            scanned = np.asarray(report.matched_rows)
+            obs, _, table = matcher._observed_side_stats(marked, scanned, params)
+            ref_obs, ref_table = naive_observed_stats(d2.entries[scanned], pat.counts, *law)
+            assert obs.tolist() == pytest.approx(ref_obs, rel=1e-12, abs=1e-9)
+            assert table.tolist() == [pytest.approx(r, rel=1e-12, abs=1e-9) for r in ref_table]
+            obs_failures += int(np.sum(np.abs(-obs / n - params.h_observed) >= params.epsilon))
             for pos, row in enumerate(report.matched_rows):
                 ref = naive_accept_set(d1.entries, d2.entries[row], pat.counts, *law, params.epsilon)
                 if report.outcomes[pos] == OUTCOME_NONE:
@@ -328,6 +334,10 @@ def test_match_rows_subset():
         assert full.outcomes[row] == report.outcomes[report.matched_rows.index(row)]
     empty = match_all(d1, marked, params, match_rows=np.array([], dtype=np.int64))
     assert empty.matched_rows == () and empty.outcomes == ()
+    # a row outside 0..m-1 is refused, not wrapped around or left to IndexError
+    for bad in ([-1, m - 1], [m]):
+        with pytest.raises(ValidationError, match=f"0..{m - 1}"):
+            match_all(d1, marked, params, match_rows=np.array(bad))
 
 
 # --- evaluation ---------------------------------------------------------------------

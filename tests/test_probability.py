@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dbmatch.errors import DegenerateGap, IndependentDatabases, ValidationError
-from dbmatch.matcher import TripleLaw, TypicalityParams
+from dbmatch.matcher import TypicalityParams
 from dbmatch.probability import (
     PMF_TOL,
     Channel,
@@ -464,7 +464,8 @@ def test_type_based_laws_equal_tuple_oracle():
         h_observed = naive_entropy(p_s.probs) + sum(
             p_s[t] * naive_entropy(joints[t].sum(axis=0)) for t in range(1, s + 1)
         )
-        law = TripleLaw.from_components(p_x, ch, p_s)
+        # a window of 1: the k = 1, s = 0 law has h_joint = 0, so the default is 0
+        law = TypicalityParams.from_components(p_x, ch, p_s, epsilon=1.0)
         assert law.h_observed == pytest.approx(h_observed, abs=1e-12)
     assert len(seen) == 50
 
