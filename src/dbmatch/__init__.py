@@ -44,12 +44,10 @@ from .matcher import (
     match_all,
 )
 from .model import (
-    GroundTruth,
-    LabeledDatabase,
+    Database,
     Labeling,
     RepetitionPattern,
     SeedBatch,
-    UnlabeledDatabase,
     apply_repetition_noise,
     generate_seeds,
     generate_unlabeled,

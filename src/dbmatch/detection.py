@@ -1,11 +1,13 @@
 """Repetition-pattern recovery from the attacker's view.
 
 Stage 1 groups consecutive columns of the shuffled view into replica runs
-by thresholding their Hamming distances.  Stage 2 locates deleted columns
-by a minimum-Hamming search over deletion sets, comparing remapped seed
-rows against the source-side seeds; a deletions-only alignment dynamic
-program solves it exactly in O(n * k_tilde).  The two stages combine into
-a per-column count estimate.
+by thresholding their Hamming distances; a RunStructure holds the run
+lengths in column order, so run i starts at the sum of the lengths before
+it.  Stage 2 locates deleted columns by a minimum-Hamming search over
+deletion sets, comparing remapped seed rows against the source-side seeds;
+a deletions-only alignment dynamic program solves it exactly in
+O(n * k_tilde).  The two stages combine into a per-column count estimate:
+the run lengths written, in order, into the columns not estimated deleted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, RunMismatch, ValidationError
-from .model import LabeledDatabase, RepetitionPattern
+from .model import Database, RepetitionPattern
 from .probability import SymbolMap
 
 # marks alignment cells with fewer source columns left than noisy ones;
@@ -25,28 +27,17 @@ _INFEASIBLE = np.int64(2**62)
 
 @dataclass(frozen=True)
 class RunStructure:
-    """Maximal detected replica groups as half-open column intervals."""
+    """Lengths of the maximal detected replica runs, in column order."""
 
-    runs: tuple[tuple[int, int], ...]
+    lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        pos = 0
-        for start, stop in self.runs:
-            if start != pos or stop <= start:
-                raise ValidationError("runs must be contiguous, ordered and nonempty")
-            pos = stop
+        if min(self.lengths, default=1) < 1:
+            raise ValidationError("run lengths must be at least 1")
 
     @property
     def k_tilde(self) -> int:
-        return len(self.runs)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.runs)
-
-    @property
-    def first_columns(self) -> tuple[int, ...]:
-        return tuple(start for start, _ in self.runs)
+        return len(self.lengths)
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class DeletionEstimate:
             raise ValidationError("deletion indices must be sorted and unique")
 
 
-def consecutive_hamming(d2: LabeledDatabase) -> np.ndarray:
+def consecutive_hamming(d2: Database) -> np.ndarray:
     """Hamming distance between each adjacent column pair of the view."""
     e = d2.entries
     if e.shape[1] <= 1:
@@ -69,7 +60,7 @@ def consecutive_hamming(d2: LabeledDatabase) -> np.ndarray:
     return (e[:, 1:] != e[:, :-1]).sum(axis=0).astype(np.int64)
 
 
-def detect_replicas(d2: LabeledDatabase, tau: float) -> RunStructure:
+def detect_replicas(d2: Database, tau: float) -> RunStructure:
     """Merge adjacent columns whose distance is strictly below m * tau.
 
     Ties at exactly m * tau split; a lone column is its own run and an
@@ -80,36 +71,24 @@ def detect_replicas(d2: LabeledDatabase, tau: float) -> RunStructure:
     k = d2.total_columns
     if k == 0:
         return RunStructure(())
-    cut = d2.m * tau
-    dists = consecutive_hamming(d2)
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for j, d in enumerate(dists):
-        if not d < cut:
-            runs.append((start, j + 1))
-            start = j + 1
-    runs.append((start, k))
-    return RunStructure(tuple(runs))
+    # a run starts at column j + 1 where its distance from column j reaches m * tau
+    cuts = np.flatnonzero(consecutive_hamming(d2) >= d2.m * tau) + 1
+    return RunStructure(tuple(np.diff(cuts, prepend=0, append=k).tolist()))
 
 
 def true_runs(pattern: RepetitionPattern) -> RunStructure:
     """Ground-truth run structure implied by a repetition pattern."""
-    runs = []
-    pos = 0
-    for c in pattern.counts:
-        if c > 0:
-            runs.append((pos, pos + int(c)))
-            pos += int(c)
-    return RunStructure(tuple(runs))
+    return RunStructure(tuple(pattern.counts[pattern.counts > 0].tolist()))
 
 
 def collapse_runs(mat: np.ndarray, runs: RunStructure) -> np.ndarray:
     """Keep the first column of each run, preserving run order."""
     if mat.ndim != 2:
         raise ValidationError("expected a 2-d matrix")
-    if runs.k_tilde and (runs.runs[-1][1] != mat.shape[1]):
+    lengths = np.array(runs.lengths, dtype=np.int64)
+    if lengths.sum() != mat.shape[1]:
         raise ValidationError("run structure inconsistent with column count")
-    return mat[:, list(runs.first_columns)]
+    return mat[:, np.cumsum(lengths) - lengths]
 
 
 def detect_deletions(
@@ -171,11 +150,10 @@ def assemble_pattern(runs: RunStructure, dels: DeletionEstimate, n: int) -> Repe
         raise ArityMismatch(
             f"{runs.k_tilde} runs + {len(dels.indices)} deletions != {n} columns"
         )
-    deleted = set(dels.indices)
+    if dels.indices and not (0 <= dels.indices[0] and dels.indices[-1] < n):
+        raise ValidationError(f"deletion indices must lie in 0..{n - 1}")
+    kept = np.ones(n, dtype=bool)
+    kept[list(dels.indices)] = False
     counts = np.zeros(n, dtype=np.int64)
-    lengths = iter(runs.lengths)
-    for j in range(n):
-        if j not in deleted:
-            counts[j] = next(lengths)
+    counts[kept] = runs.lengths
     return RepetitionPattern(counts)
-

@@ -205,36 +205,25 @@ class SweepResult:
 
 
 @functools.lru_cache(maxsize=64)
-def _params_cached(
-    px_bytes: bytes, ps_bytes: bytes, ch_bytes: bytes, k: int, epsilon: float | None
-):
-    p_x = Pmf(np.frombuffer(px_bytes))
-    ch = Channel(np.frombuffer(ch_bytes).reshape(k, k))
-    return matcher.TypicalityParams.from_components(
-        p_x, ch, Pmf(np.frombuffer(ps_bytes)), epsilon=epsilon
-    )
+def _params(p_x: Pmf, ch: Channel, p_s: Pmf, epsilon: float | None) -> matcher.TypicalityParams:
+    return matcher.TypicalityParams.from_components(p_x, ch, p_s, epsilon=epsilon)
 
 
 def config_params(cfg: ExperimentConfig) -> matcher.TypicalityParams:
     """A config's TypicalityParams: the window, the column law and its
     entropies; memoized, as they are trial-invariant (h_observed holds the
     capacity sum over read types)."""
-    p_x, p_s, ch = cfg.p_x.probs.tobytes(), cfg.p_s.probs.tobytes(), cfg.channel.rows.tobytes()
-    return _params_cached(p_x, p_s, ch, cfg.alphabet_size, cfg.epsilon)
+    return _params(cfg.p_x, cfg.channel, cfg.p_s, cfg.epsilon)
 
 
 @functools.lru_cache(maxsize=64)
-def _scalars_cached(px_bytes: bytes, ch_bytes: bytes, k: int, tau: float | None):
-    p_x = Pmf(np.frombuffer(px_bytes))
-    ch = Channel(np.frombuffer(ch_bytes).reshape(k, k))
+def _scalars(p_x: Pmf, ch: Channel, tau: float | None) -> probability.Scalars:
     return probability.pipeline_scalars(p_x, ch, tau_override=tau)
 
 
 def config_scalars(cfg: ExperimentConfig) -> probability.Scalars:
     """Detection scalars for a config; memoized, they are trial-invariant."""
-    return _scalars_cached(
-        cfg.p_x.probs.tobytes(), cfg.channel.rows.tobytes(), cfg.alphabet_size, cfg.tau
-    )
+    return _scalars(cfg.p_x, cfg.channel, cfg.tau)
 
 
 def seed_batch_size(cfg: ExperimentConfig) -> int:
@@ -293,7 +282,7 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
         if cfg.match_rows is not None and cfg.match_rows < m:
             rows = np.sort(st.rows.choice(m, size=cfg.match_rows, replace=False))
         report = matcher.match_all(d1, marked, config_params(cfg), match_rows=rows)
-        report = matcher.evaluate(report, model.GroundTruth(pattern, labeling))
+        report = matcher.evaluate(report, labeling)
         return TrialRecord(
             index=index,
             replica_ok=replica_ok,

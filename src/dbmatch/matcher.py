@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, ValidationError
-from .model import GroundTruth, LabeledDatabase, RepetitionPattern, UnlabeledDatabase
+from .model import Database, Labeling, RepetitionPattern
 from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
 
 # entries per array of the scan: the score block (live rows x source rows),
@@ -67,7 +67,7 @@ class MarkedDatabase:
         return int(self.counts.shape[0])
 
 
-def build_marked(d2: LabeledDatabase, s_hat: RepetitionPattern) -> MarkedDatabase:
+def build_marked(d2: Database, s_hat: RepetitionPattern) -> MarkedDatabase:
     """Segment the flat view by the count estimate."""
     if s_hat.total_columns != d2.total_columns:
         raise ArityMismatch(
@@ -177,7 +177,7 @@ def _one_hot(x_blk: np.ndarray, k: int) -> np.ndarray:
 
 
 def _scan_tile(
-    d1: UnlabeledDatabase,
+    d1: Database,
     marked: MarkedDatabase,
     params: TypicalityParams,
     rows: np.ndarray,
@@ -231,7 +231,7 @@ def _scan_tile(
 
 
 def match_all(
-    d1: UnlabeledDatabase,
+    d1: Database,
     marked: MarkedDatabase,
     params: TypicalityParams,
     match_rows: np.ndarray | None = None,
@@ -248,7 +248,7 @@ def match_all(
     read only as 0, 1 or more, and a matched row's candidate is the first
     accepted source row.
     """
-    if d1.n != marked.n:
+    if d1.total_columns != marked.n:
         raise ValidationError("source and marked views disagree on column count")
     if match_rows is None:
         rows = np.arange(marked.m)
@@ -271,14 +271,14 @@ def match_all(
     )
 
 
-def evaluate(report: MatchReport, truth: GroundTruth) -> MatchReport:
+def evaluate(report: MatchReport, labeling: Labeling) -> MatchReport:
     """Score a report against the hidden row permutation.
 
     A matched row is correct when its assigned source row maps to it under
     the true labeling.  error_rate is the fraction of evaluated rows not
     matched-correct, the uniformly-drawn-row estimator.
     """
-    theta = truth.labeling.perm
+    theta = labeling.perm
     outcomes = np.array(report.outcomes, dtype=object)
     unscored = np.fromiter(map(_UNSCORED, report.outcomes), bool, len(outcomes))
     pos = np.flatnonzero(~unscored)

@@ -1,8 +1,9 @@
 """Generative model: source database, repetition pattern, row shuffle,
 noisy repeated view, and seed rows, with ground truth kept for scoring.
 
-The attacker-visible view stores its columns flat; run boundaries and the
-row permutation live only in the GroundTruth record.  A seed (a 64-bit
+The source and the attacker-visible view are both a Database; the view
+stores its columns flat, and its run boundaries and row permutation live
+only in the RepetitionPattern and Labeling that produced it.  A seed (a 64-bit
 integer or a trial's SeedSequence) expands into six named substreams, one
 per random choice of a trial, so that every artifact of a trial is
 reproducible within this implementation.
@@ -62,8 +63,11 @@ def trial_seed_sequence(master_seed: int, *indices: int) -> np.random.SeedSequen
 
 
 @dataclass(frozen=True)
-class UnlabeledDatabase:
-    entries: np.ndarray  # m x n, small ints
+class Database:
+    """A read-only m x columns symbol matrix: the source, or the shuffled
+    noisy repeated view stored flat with no run markers."""
+
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
         if self.entries.ndim != 2:
@@ -75,7 +79,7 @@ class UnlabeledDatabase:
         return int(self.entries.shape[0])
 
     @property
-    def n(self) -> int:
+    def total_columns(self) -> int:
         return int(self.entries.shape[1])
 
 
@@ -111,7 +115,7 @@ class Labeling:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.perm, dtype=np.int64)
-        if arr.ndim != 1 or arr.size < 1 or np.any(np.bincount(arr, minlength=arr.size) != 1):
+        if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or np.any(np.bincount(arr) != 1):
             raise ValidationError("labeling must be a permutation of 0..m-1")
         arr.flags.writeable = False
         object.__setattr__(self, "perm", arr)
@@ -130,26 +134,6 @@ class Labeling:
 
 
 @dataclass(frozen=True)
-class LabeledDatabase:
-    """The shuffled noisy repeated view, stored flat with no run markers."""
-
-    entries: np.ndarray  # m x K
-
-    def __post_init__(self) -> None:
-        if self.entries.ndim != 2:
-            raise ValidationError("database entries must be a 2-d matrix")
-        self.entries.flags.writeable = False
-
-    @property
-    def m(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def total_columns(self) -> int:
-        return int(self.entries.shape[1])
-
-
-@dataclass(frozen=True)
 class SeedBatch:
     """Aligned row pairs sharing the main pair's repetition pattern."""
 
@@ -165,12 +149,6 @@ class SeedBatch:
     @property
     def size(self) -> int:
         return int(self.g1.shape[0])
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    pattern: RepetitionPattern
-    labeling: Labeling
 
 
 def _check_entry_budget(rows: int, cols: int, cap: int) -> None:
@@ -196,12 +174,12 @@ def _sample_symbols(p: Pmf, shape: tuple[int, ...], rng: np.random.Generator) ->
 
 def generate_unlabeled(
     m: int, n: int, p_x: Pmf, rng: np.random.Generator, entry_cap: int = DEFAULT_ENTRY_CAP
-) -> UnlabeledDatabase:
+) -> Database:
     """m x n matrix of i.i.d. source symbols."""
     if m < 1 or n < 1:
         raise ValidationError("database dimensions must be positive")
     _check_entry_budget(m, n, entry_cap)
-    return UnlabeledDatabase(_sample_symbols(p_x, (m, n), rng))
+    return Database(_sample_symbols(p_x, (m, n), rng))
 
 
 def sample_pattern(n: int, p_s: Pmf, rng: np.random.Generator) -> RepetitionPattern:
@@ -279,13 +257,13 @@ def _noisy_repeat(
 
 
 def apply_repetition_noise(
-    d1: UnlabeledDatabase,
+    d1: Database,
     pattern: RepetitionPattern,
     labeling: Labeling,
     ch: Channel,
     rng: np.random.Generator,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-) -> LabeledDatabase:
+) -> Database:
     """Produce the shuffled noisy repeated view of d1.
 
     Row i of the output derives from row inverse(i) of d1; column j of d1
@@ -293,10 +271,10 @@ def apply_repetition_noise(
     Deleted columns contribute nothing, so the output is m x sum(counts),
     which must fit the entry budget.
     """
-    if pattern.n != d1.n or labeling.m != d1.m:
+    if pattern.n != d1.total_columns or labeling.m != d1.m:
         raise ValidationError("pattern/labeling dimensions inconsistent with database")
     _check_entry_budget(d1.m, pattern.total_columns, entry_cap)
-    return LabeledDatabase(_noisy_repeat(d1.entries, pattern, ch, rng, rows=labeling.inverse))
+    return Database(_noisy_repeat(d1.entries, pattern, ch, rng, rows=labeling.inverse))
 
 
 def generate_seeds(

@@ -40,9 +40,14 @@ def _as_prob_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _value_key(arr: np.ndarray) -> tuple:
+    """An array's shape and bytes: equal keys mean equal values."""
+    return arr.shape, arr.tobytes()
+
+
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function over symbols 0..k-1."""
+    """Probability mass function over symbols 0..k-1; equal and hashed by value."""
 
     probs: np.ndarray
 
@@ -56,6 +61,12 @@ class Pmf:
     def __getitem__(self, symbol: int) -> float:
         return float(self.probs[symbol])
 
+    def __eq__(self, other) -> bool:
+        return type(other) is Pmf and _value_key(self.probs) == _value_key(other.probs)
+
+    def __hash__(self) -> int:
+        return hash(_value_key(self.probs))
+
     @staticmethod
     def uniform(k: int) -> "Pmf":
         if k < 1:
@@ -65,7 +76,8 @@ class Pmf:
 
 @dataclass(frozen=True)
 class Channel:
-    """Conditional law rows[x][y] = P(Y=y | X=x) on a shared alphabet."""
+    """Conditional law rows[x][y] = P(Y=y | X=x) on a shared alphabet;
+    equal and hashed by value."""
 
     rows: np.ndarray
 
@@ -82,6 +94,12 @@ class Channel:
     @property
     def size(self) -> int:
         return int(self.rows.shape[0])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Channel and _value_key(self.rows) == _value_key(other.rows)
+
+    def __hash__(self) -> int:
+        return hash(_value_key(self.rows))
 
     @staticmethod
     def identity(k: int) -> "Channel":

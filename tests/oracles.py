@@ -16,6 +16,21 @@ def psi_profile(p_x, ch):
     return (p_x.probs[:, None] * dev * dev).sum(axis=0)
 
 
+def naive_runs(dists, k, cut):
+    """Replica runs of k columns as half-open intervals, by one pass over the
+    adjacent-column distances: a distance below the cut merges, a tie splits."""
+    if k == 0:
+        return []
+    runs = []
+    start = 0
+    for j, d in enumerate(dists):
+        if not d < cut:
+            runs.append((start, j + 1))
+            start = j + 1
+    runs.append((start, k))
+    return runs
+
+
 def naive_deletion_search(g1, g2_sigma):
     """Independent plain-enumeration reference: loops, no mismatch table."""
     n = g1.shape[1]

@@ -17,7 +17,7 @@ from dbmatch.detection import (
 )
 from dbmatch.errors import ArityMismatch, RunMismatch, ValidationError
 from dbmatch.model import (
-    LabeledDatabase,
+    Database,
     Labeling,
     apply_repetition_noise,
     generate_seeds,
@@ -26,11 +26,11 @@ from dbmatch.model import (
     substreams,
 )
 from dbmatch.probability import Channel, Pmf, SymbolMap, pipeline_scalars
-from oracles import naive_deletion_search
+from oracles import naive_deletion_search, naive_runs
 
 
 def labeled(rows):
-    return LabeledDatabase(np.asarray(rows, dtype=np.uint8))
+    return Database(np.asarray(rows, dtype=np.uint8))
 
 
 # --- consecutive hamming ------------------------------------------------------
@@ -57,14 +57,13 @@ def test_hamming_empty_cases():
 
 def test_single_column_is_one_run():
     rs = detect_replicas(labeled(np.zeros((5, 1))), 0.3)
-    assert rs.runs == ((0, 1),)
+    assert rs.lengths == (1,)
 
 
 def test_noiseless_run_split():
     # pattern (2, 1) over distinct columns: first pair merges, second splits
     d2 = labeled([[0, 0, 1], [1, 1, 0], [0, 0, 0]])
     rs = detect_replicas(d2, 0.34)
-    assert rs.runs == ((0, 2), (2, 3))
     assert rs.k_tilde == 2
     assert rs.lengths == (2, 1)
 
@@ -72,8 +71,8 @@ def test_noiseless_run_split():
 def test_tie_at_threshold_splits():
     # distance exactly m*tau must not merge
     d2 = labeled([[0, 0], [0, 1], [0, 0], [0, 0]])  # distance 1, m=4
-    assert detect_replicas(d2, 0.25).runs == ((0, 1), (1, 2))
-    assert detect_replicas(d2, 0.26).runs == ((0, 2),)
+    assert detect_replicas(d2, 0.25).lengths == (1, 1)
+    assert detect_replicas(d2, 0.26).lengths == (2,)
 
 
 def test_runs_partition_columns():
@@ -82,11 +81,40 @@ def test_runs_partition_columns():
         m, k = int(rng.integers(1, 8)), int(rng.integers(0, 12))
         d2 = labeled(rng.integers(0, 2, size=(m, k)))
         rs = detect_replicas(d2, float(rng.uniform(0.05, 0.95)))
-        pos = 0
-        for start, stop in rs.runs:
-            assert start == pos
-            pos = stop
-        assert pos == k
+        assert sum(rs.lengths) == k
+
+
+def test_run_functions_match_naive_runs():
+    # random views, K = 0 and K = 1 among them; an odd case whose m is a power
+    # of two takes tau = d / m, so m * tau is exactly a distance that can occur
+    rng = np.random.default_rng(23)
+    ties = 0
+    for case in range(400):
+        m = int(rng.integers(1, 9))
+        k = case if case < 2 else int(rng.integers(0, 14))
+        if case % 2 and m in (2, 4, 8):
+            tau = int(rng.integers(1, m)) / m
+        else:
+            tau = float(rng.uniform(0.05, 0.95))
+        d2 = labeled(rng.integers(0, 2, size=(m, k)))
+        dists = consecutive_hamming(d2)
+        ties += int(np.count_nonzero(dists == m * tau))
+        runs = naive_runs(dists, k, m * tau)
+        rs = detect_replicas(d2, tau)
+        assert rs.lengths == tuple(stop - start for start, stop in runs)
+        mat = rng.integers(0, 5, size=(3, k))
+        assert np.array_equal(collapse_runs(mat, rs), mat[:, [start for start, _ in runs]])
+        # the same runs as a pattern: deletions at random places among n columns
+        n = rs.k_tilde + int(rng.integers(0, 4))
+        deleted = sorted(rng.choice(n, size=n - rs.k_tilde, replace=False).tolist())
+        counts = np.zeros(n, dtype=np.int64)
+        kept = [j for j in range(n) if j not in deleted]
+        for j, (start, stop) in zip(kept, runs):
+            counts[j] = stop - start
+        got = assemble_pattern(rs, DeletionEstimate(tuple(deleted)), n)
+        assert got.counts.tolist() == counts.tolist()
+        assert true_runs(got) == rs
+    assert ties > 0
 
 
 def test_replica_recovery_monte_carlo():
@@ -108,19 +136,25 @@ def test_replica_recovery_monte_carlo():
 
 def test_collapse_keeps_first_columns():
     mat = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint8)
-    rs = RunStructure(((0, 2), (2, 3)))
+    rs = RunStructure((2, 1))
     assert np.array_equal(collapse_runs(mat, rs), mat[:, [0, 2]])
 
 
 def test_collapse_singletons_is_identity():
     mat = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    rs = RunStructure(tuple((j, j + 1) for j in range(4)))
+    rs = RunStructure((1,) * 4)
     assert np.array_equal(collapse_runs(mat, rs), mat)
 
 
 def test_collapse_empty():
     out = collapse_runs(np.zeros((3, 0), dtype=np.uint8), RunStructure(()))
     assert out.shape == (3, 0)
+
+
+def test_collapse_refuses_column_count_mismatch():
+    for lengths in ((), (2, 1), (2, 3)):
+        with pytest.raises(ValidationError, match="column count"):
+            collapse_runs(np.zeros((3, 4)), RunStructure(lengths))
 
 
 # --- deletion detection ----------------------------------------------------------
@@ -231,20 +265,26 @@ def test_seeded_deletion_monte_carlo():
 # --- pattern assembly --------------------------------------------------------------
 
 def test_assemble_interleaves_in_order():
-    rs = RunStructure(((0, 2), (2, 3)))
+    rs = RunStructure((2, 1))
     pe = assemble_pattern(rs, DeletionEstimate((1,)), 3)
     assert pe.counts.tolist() == [2, 0, 1]
 
 
 def test_assemble_all_singletons():
-    rs = RunStructure(tuple((j, j + 1) for j in range(5)))
+    rs = RunStructure((1,) * 5)
     pe = assemble_pattern(rs, DeletionEstimate(()), 5)
     assert pe.counts.tolist() == [1, 1, 1, 1, 1]
 
 
 def test_assemble_arity_mismatch():
     with pytest.raises(ArityMismatch):
-        assemble_pattern(RunStructure(((0, 1),)), DeletionEstimate(()), 3)
+        assemble_pattern(RunStructure((1,)), DeletionEstimate(()), 3)
+
+
+def test_assemble_refuses_deletions_outside_columns():
+    for indices in ((5,), (-1,)):
+        with pytest.raises(ValidationError, match=r"0\.\.2"):
+            assemble_pattern(RunStructure((1, 1)), DeletionEstimate(indices), 3)
 
 
 def test_assemble_ground_truth_roundtrip():
@@ -259,7 +299,6 @@ def test_assemble_ground_truth_roundtrip():
 
 
 def test_run_structure_validation():
-    with pytest.raises(ValidationError):
-        RunStructure(((0, 2), (3, 4)))
-    with pytest.raises(ValidationError):
-        RunStructure(((1, 2),))
+    for lengths in ((2, 0, 1), (0,), (-1,)):
+        with pytest.raises(ValidationError, match="at least 1"):
+            RunStructure(lengths)

@@ -65,6 +65,13 @@ def test_config_row_major_channel():
         make_config(channel=[0.9, 0.1, 0.1])
 
 
+def test_configs_compare_and_hash_by_value():
+    assert make_config() == make_config()
+    assert hash(make_config()) == hash(make_config())
+    assert make_config(pX=[0.4, 0.6]) != make_config()
+    assert make_config(channel=[0.8, 0.2, 0.2, 0.8]) != make_config()
+
+
 def test_config_alphabet_floor():
     with pytest.raises(ValidationError):
         config_from_dict(

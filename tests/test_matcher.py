@@ -18,11 +18,9 @@ from dbmatch.matcher import (
     match_all,
 )
 from dbmatch.model import (
-    GroundTruth,
-    LabeledDatabase,
+    Database,
     Labeling,
     RepetitionPattern,
-    UnlabeledDatabase,
     apply_repetition_noise,
     generate_unlabeled,
     sample_labeling,
@@ -39,7 +37,7 @@ P_S = Pmf([0.2, 0.5, 0.3])
 
 
 def labeled(rows):
-    return LabeledDatabase(np.asarray(rows, dtype=np.uint8))
+    return Database(np.asarray(rows, dtype=np.uint8))
 
 
 def row_cells(marked, i):
@@ -117,7 +115,7 @@ def test_default_epsilon_scales_with_joint_entropy():
 def is_typical(x_row, y_row, counts, params):
     """Whether one (source row, flat view row) pair is jointly typical: a
     one-row source matches the row exactly when it is."""
-    d1 = UnlabeledDatabase(np.asarray([x_row], dtype=np.uint8))
+    d1 = Database(np.asarray([x_row], dtype=np.uint8))
     marked = build_marked(labeled([y_row]), RepetitionPattern(counts))
     return match_all(d1, marked, params).outcomes == ("matched",)
 
@@ -292,7 +290,7 @@ def test_match_single_row():
 
 def test_duplicate_rows_are_ambiguous():
     x = np.array([[0, 1, 0, 1], [0, 1, 0, 1]], dtype=np.uint8)
-    d1 = UnlabeledDatabase(x.copy())
+    d1 = Database(x.copy())
     d2 = labeled(x[:1])
     marked = build_marked(d2, RepetitionPattern(np.ones(4, dtype=np.int64)))
     params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=1.0)
@@ -312,7 +310,7 @@ def test_matching_error_below_capacity():
         lab = sample_labeling(m, st.labeling)
         d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
         marked = build_marked(d2, pat)
-        report = evaluate(match_all(d1, marked, params), GroundTruth(pat, lab))
+        report = evaluate(match_all(d1, marked, params), lab)
         errs.append(report.error_rate)
     assert float(np.mean(errs)) <= 0.05
 
@@ -343,33 +341,23 @@ def test_match_rows_subset():
 # --- evaluation ---------------------------------------------------------------------
 
 def test_evaluate_all_correct():
-    truth = GroundTruth(
-        RepetitionPattern(np.ones(2, dtype=np.int64)), Labeling(np.array([1, 0]))
-    )
     report = MatchReport(matched_rows=(0, 1), outcomes=("matched", "matched"), assignment={0: 1, 1: 0})
-    scored = evaluate(report, truth)
+    scored = evaluate(report, Labeling(np.array([1, 0])))
     assert scored.error_rate == 0.0
     assert scored.outcomes == (OUTCOME_CORRECT, OUTCOME_CORRECT)
 
 
 def test_evaluate_empty_assignment():
-    truth = GroundTruth(
-        RepetitionPattern(np.ones(2, dtype=np.int64)), Labeling(np.array([0, 1]))
-    )
     report = MatchReport(
         matched_rows=(0, 1), outcomes=(OUTCOME_NONE, OUTCOME_NONE), assignment={}
     )
-    assert evaluate(report, truth).error_rate == 1.0
+    assert evaluate(report, Labeling(np.array([0, 1]))).error_rate == 1.0
 
 
 def test_evaluate_half_correct():
-    truth = GroundTruth(
-        RepetitionPattern(np.ones(2, dtype=np.int64)),
-        Labeling(np.arange(4)),
-    )
     report = MatchReport(
         matched_rows=(0, 1, 2, 3),
         outcomes=("matched", "matched", OUTCOME_NONE, OUTCOME_NONE),
         assignment={0: 0, 1: 1},
     )
-    assert evaluate(report, truth).error_rate == 0.5
+    assert evaluate(report, Labeling(np.arange(4))).error_rate == 0.5

@@ -6,9 +6,9 @@ import pytest
 from dbmatch import model
 from dbmatch.errors import MemoryCapExceeded, ValidationError
 from dbmatch.model import (
+    Database,
     Labeling,
     RepetitionPattern,
-    UnlabeledDatabase,
     apply_repetition_noise,
     generate_seeds,
     generate_unlabeled,
@@ -148,9 +148,7 @@ def test_conditional_law_small_scale():
     rng = np.random.default_rng(12)
     trials = 200_000
     d1_entries = np.tile(np.array([[0, 1]], dtype=np.uint8), (trials, 1))
-    from dbmatch.model import UnlabeledDatabase
-
-    d1 = UnlabeledDatabase(d1_entries.copy())
+    d1 = Database(d1_entries.copy())
     pattern = RepetitionPattern(np.array([2, 1]))
     d2 = apply_repetition_noise(
         d1, pattern, Labeling(np.arange(trials)), Channel.symmetric(2, q), rng
@@ -263,7 +261,7 @@ def test_view_and_seeds_honour_entry_cap():
 
 
 def test_view_rejects_symbols_outside_channel():
-    d1 = UnlabeledDatabase(np.array([[0, 2]], dtype=np.uint8))
+    d1 = Database(np.array([[0, 2]], dtype=np.uint8))
     pattern = RepetitionPattern(np.array([1, 1]))
     with pytest.raises(ValidationError):
         apply_repetition_noise(
@@ -342,8 +340,9 @@ def test_validation_errors():
     rng = np.random.default_rng(16)
     with pytest.raises(ValidationError):
         generate_unlabeled(0, 5, Pmf.uniform(2), rng)
-    with pytest.raises(ValidationError):
-        Labeling(np.array([0, 0, 1]))
+    for perm in ([0, 0, 1], [-1, 0]):
+        with pytest.raises(ValidationError, match="labeling must be a permutation"):
+            Labeling(np.array(perm))
     with pytest.raises(ValidationError):
         RepetitionPattern(np.array([1, -1]))
 
