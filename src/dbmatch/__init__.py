@@ -36,10 +36,8 @@ from .experiments import (
     simulate,
 )
 from .matcher import (
-    MarkedDatabase,
     MatchReport,
     TypicalityParams,
-    build_marked,
     evaluate,
     match_all,
 )

@@ -277,11 +277,10 @@ def run_trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, index: in
         s_hat = detection.assemble_pattern(runs, dels, cfg.n)
         pattern_ok = bool(np.array_equal(s_hat.counts, pattern.counts))
 
-        marked = matcher.build_marked(d2, s_hat)
         rows = None
         if cfg.match_rows is not None and cfg.match_rows < m:
             rows = np.sort(st.rows.choice(m, size=cfg.match_rows, replace=False))
-        report = matcher.match_all(d1, marked, config_params(cfg), match_rows=rows)
+        report = matcher.match_all(d1, d2, s_hat, config_params(cfg), match_rows=rows)
         report = matcher.evaluate(report, labeling)
         return TrialRecord(
             index=index,

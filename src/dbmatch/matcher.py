@@ -1,7 +1,7 @@
-"""Row matching: segment the shuffled view by the estimated per-column
-counts (erasure cells where a column was deleted), then match each of its
-rows to the unique source row that is jointly typical with it under the
-(symbol, read-tuple, count) law.
+"""Row matching: cut each row of the shuffled view into per-column cells by
+the estimated per-column counts (an empty cell where a column was deleted),
+then match it to the unique source row that is jointly typical with it
+under the (symbol, read-tuple, count) law.
 
 Typicality is the weak, entropy-based flavor: the three empirical
 per-column log-probability averages (source side, observed side, joint)
@@ -42,41 +42,6 @@ OUTCOME_NONE = "none"
 _BY_COUNT = np.array([OUTCOME_NONE, "matched", OUTCOME_AMBIGUOUS], dtype=object)
 _BY_TRUTH = np.array([OUTCOME_WRONG, OUTCOME_CORRECT], dtype=object)
 _UNSCORED = frozenset((OUTCOME_NONE, OUTCOME_AMBIGUOUS)).__contains__
-
-
-@dataclass(frozen=True)
-class MarkedDatabase:
-    """The shuffled view segmented into per-source-column cells.
-
-    Cell (i, j) is the length counts[j] slice of row i starting at column
-    offsets[j]; a zero count marks an erasure.  Concatenating the
-    non-erased cells of a row reproduces the flat row exactly, by
-    construction.
-    """
-
-    entries: np.ndarray
-    counts: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.shape[0])
-
-
-def build_marked(d2: Database, s_hat: RepetitionPattern) -> MarkedDatabase:
-    """Segment the flat view by the count estimate."""
-    if s_hat.total_columns != d2.total_columns:
-        raise ArityMismatch(
-            f"counts sum to {s_hat.total_columns} but the view has {d2.total_columns} columns"
-        )
-    counts = s_hat.counts
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    offsets.flags.writeable = False
-    return MarkedDatabase(entries=d2.entries, counts=counts, offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -135,14 +100,15 @@ class MatchReport:
 
 
 def _observed_side_stats(
-    marked: MarkedDatabase, rows: np.ndarray, params: TypicalityParams
+    d2: Database, counts: np.ndarray, rows: np.ndarray, params: TypicalityParams
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-row observed-side empirical average, the count-term constant,
     and the cell log-likelihood table L[i, j * k + x] = sum_l log2 W(y_il | x)
-    over the reads y_il of row i's cell j (zero for an erased cell)."""
-    n, k = marked.n, params.p_x.size
-    counts = marked.counts
-    y = marked.entries[rows]
+    over the reads y_il of row i's cell j: its counts[j] view columns from
+    column counts[0] + ... + counts[j - 1] (zero for an erased cell)."""
+    n, k = counts.shape[0], params.p_x.size
+    offsets = np.cumsum(counts) - counts
+    y = d2.entries[rows]
     s_max = int(counts.max()) if counts.size else 0
     # log2 p_s over counts up to s_max; a count beyond the support (a
     # misdetected run longer than s_max) carries zero mass
@@ -157,7 +123,7 @@ def _observed_side_stats(
     for l in range(s_max):
         # read l of every cell, or row k where the cell has none (its clipped
         # index only keeps the gather in range)
-        at = np.minimum(marked.offsets + l, y.shape[1] - 1)
+        at = np.minimum(offsets + l, y.shape[1] - 1)
         read = np.where(counts > l, y[:, at], np.intp(k))
         cond *= w_read[read]
         table += lp_read[read]
@@ -177,10 +143,7 @@ def _one_hot(x_blk: np.ndarray, k: int) -> np.ndarray:
 
 
 def _scan_tile(
-    d1: Database,
-    marked: MarkedDatabase,
-    params: TypicalityParams,
-    rows: np.ndarray,
+    d1: Database, d2: Database, counts: np.ndarray, params: TypicalityParams, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accept counts (exact below 2) and first accepted source row, one tile of rows.
 
@@ -189,14 +152,14 @@ def _scan_tile(
     the scan once it has two accepts, and the scan ends when none is left.
     """
     eps = params.epsilon
-    n, k = marked.n, params.p_x.size
+    n, k = d1.total_columns, params.p_x.size
     budget = _SCAN_BLOCK_ENTRIES
     lp_x = _safe_log2(params.p_x.probs)
 
-    obs, s_const, table = _observed_side_stats(marked, rows, params)
+    obs, s_const, table = _observed_side_stats(d2, counts, rows, params)
     # a row outside the observed-side window never accepts: it is never live
     live = np.flatnonzero(np.abs(-obs / n - params.h_observed) < eps)
-    counts = np.zeros(len(rows), dtype=np.int64)
+    accepts = np.zeros(len(rows), dtype=np.int64)
     unique_idx = np.full(len(rows), -1, dtype=np.int64)
     live_table = table[live]
     block = _FIRST_BLOCK_ROWS
@@ -219,24 +182,26 @@ def _scan_tile(
         ok &= src_ok
         blk_counts = np.count_nonzero(ok, axis=1)
         first = np.argmax(ok, axis=1)
-        newly = (counts[live] == 0) & (blk_counts > 0)
+        newly = (accepts[live] == 0) & (blk_counts > 0)
         unique_idx[live[newly]] = lo + first[newly]
-        counts[live] += blk_counts
-        still = counts[live] < 2
+        accepts[live] += blk_counts
+        still = accepts[live] < 2
         if not still.all():
             live, live_table = live[still], live_table[still]
         lo = hi
         block *= 2
-    return counts, unique_idx
+    return accepts, unique_idx
 
 
 def match_all(
     d1: Database,
-    marked: MarkedDatabase,
+    d2: Database,
+    s_hat: RepetitionPattern,
     params: TypicalityParams,
     match_rows: np.ndarray | None = None,
 ) -> MatchReport:
-    """Match shuffled rows to source rows by unique joint typicality.
+    """Match rows of the view d2, cut into cells by the count estimate
+    s_hat, to source rows of d1 by unique joint typicality.
 
     A row is matched when exactly one source row is typical with it,
     ambiguous when several are, and unmatched when none is.  match_rows
@@ -244,29 +209,33 @@ def match_all(
     law is unchanged; this is the uniformly-drawn-row error estimator).
 
     Rows are scanned in tiles whose cell table fits the _SCAN_BLOCK_ENTRIES
-    budget.  Neither tile nor block size changes an outcome: counts are
+    budget.  Neither tile nor block size changes an outcome: accepts are
     read only as 0, 1 or more, and a matched row's candidate is the first
     accepted source row.
     """
-    if d1.total_columns != marked.n:
-        raise ValidationError("source and marked views disagree on column count")
+    if s_hat.n != d1.total_columns:
+        raise ValidationError("source and count estimate disagree on column count")
+    if s_hat.total_columns != d2.total_columns:
+        raise ArityMismatch(
+            f"counts sum to {s_hat.total_columns} but the view has {d2.total_columns} columns"
+        )
     if match_rows is None:
-        rows = np.arange(marked.m)
+        rows = np.arange(d2.m)
     else:
         rows = np.asarray(match_rows, dtype=np.int64)
-        if rows.size and not (0 <= rows.min() and rows.max() < marked.m):
-            raise ValidationError(f"match rows must lie in 0..{marked.m - 1}")
-    tile = max(1, _SCAN_BLOCK_ENTRIES // max(1, marked.n * params.p_x.size))
-    counts = np.zeros(len(rows), dtype=np.int64)
+        if rows.size and not (0 <= rows.min() and rows.max() < d2.m):
+            raise ValidationError(f"match rows must lie in 0..{d2.m - 1}")
+    tile = max(1, _SCAN_BLOCK_ENTRIES // max(1, s_hat.n * params.p_x.size))
+    accepts = np.zeros(len(rows), dtype=np.int64)
     unique_idx = np.full(len(rows), -1, dtype=np.int64)
     for lo in range(0, len(rows), tile):
-        counts[lo : lo + tile], unique_idx[lo : lo + tile] = _scan_tile(
-            d1, marked, params, rows[lo : lo + tile]
+        accepts[lo : lo + tile], unique_idx[lo : lo + tile] = _scan_tile(
+            d1, d2, s_hat.counts, params, rows[lo : lo + tile]
         )
-    matched = counts == 1
+    matched = accepts == 1
     return MatchReport(
         matched_rows=tuple(rows.tolist()),
-        outcomes=tuple(_BY_COUNT[np.minimum(counts, 2)].tolist()),
+        outcomes=tuple(_BY_COUNT[np.minimum(accepts, 2)].tolist()),
         assignment=dict(zip(rows[matched].tolist(), unique_idx[matched].tolist())),
     )
 

@@ -62,6 +62,15 @@ def trial_seed_sequence(master_seed: int, *indices: int) -> np.random.SeedSequen
     return np.random.SeedSequence(entropy=[master_seed, *indices])
 
 
+def _read_only(values, dtype=None) -> np.ndarray:
+    """A read-only view of values as an array.  The caller's array stays
+    writable (the view sees its later writes), and no entry is copied
+    unless dtype asks for a conversion."""
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Database:
     """A read-only m x columns symbol matrix: the source, or the shuffled
@@ -70,9 +79,10 @@ class Database:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries.ndim != 2:
+        entries = _read_only(self.entries)
+        if entries.ndim != 2:
             raise ValidationError("database entries must be a 2-d matrix")
-        self.entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def m(self) -> int:
@@ -88,10 +98,9 @@ class RepetitionPattern:
     counts: np.ndarray  # length n, nonnegative
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts, dtype=np.int64)
+        arr = _read_only(self.counts, np.int64)
         if arr.ndim != 1 or np.any(arr < 0):
             raise ValidationError("pattern counts must be a 1-d nonnegative vector")
-        arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
     @property
@@ -114,15 +123,13 @@ class Labeling:
     perm: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.perm, dtype=np.int64)
+        arr = _read_only(self.perm, np.int64)
         if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or np.any(np.bincount(arr) != 1):
             raise ValidationError("labeling must be a permutation of 0..m-1")
-        arr.flags.writeable = False
         object.__setattr__(self, "perm", arr)
         inv = np.empty_like(arr)
         inv[arr] = np.arange(arr.size)
-        inv.flags.writeable = False
-        object.__setattr__(self, "_inverse", inv)
+        object.__setattr__(self, "_inverse", _read_only(inv))
 
     @property
     def m(self) -> int:
@@ -141,10 +148,11 @@ class SeedBatch:
     g2: np.ndarray  # B x K
 
     def __post_init__(self) -> None:
-        if self.g1.shape[0] != self.g2.shape[0]:
+        g1, g2 = _read_only(self.g1), _read_only(self.g2)
+        if g1.shape[0] != g2.shape[0]:
             raise ValidationError("seed halves must have the same row count")
-        self.g1.flags.writeable = False
-        self.g2.flags.writeable = False
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
 
     @property
     def size(self) -> int:
@@ -294,11 +302,6 @@ def generate_seeds(
         raise ValidationError("pattern length inconsistent with column count")
     _check_entry_budget(b, n, entry_cap)
     _check_entry_budget(b, pattern.total_columns, entry_cap)
-    if b == 0:
-        return SeedBatch(
-            np.empty((0, n), dtype=np.uint8),
-            np.empty((0, pattern.total_columns), dtype=np.uint8),
-        )
     g1 = _sample_symbols(p_x, (b, n), rng)
     g2 = _noisy_repeat(g1, pattern, ch, rng)
     return SeedBatch(g1, g2)

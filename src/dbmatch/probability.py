@@ -26,7 +26,8 @@ LOG_ZERO = -1.0e18
 
 
 def _as_prob_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """A read-only copy of values, checked to be a probability vector."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name} must be a nonempty 1-d vector")
     if not np.all(np.isfinite(arr)):
@@ -82,12 +83,11 @@ class Channel:
     rows: np.ndarray
 
     def __init__(self, rows) -> None:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.array(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValidationError("channel must be a square matrix")
         for x in range(arr.shape[0]):
             _as_prob_vector(arr[x], f"channel row {x}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 

@@ -27,7 +27,6 @@ from dbmatch.matcher import (
     OUTCOME_AMBIGUOUS,
     OUTCOME_NONE,
     TypicalityParams,
-    build_marked,
     match_all,
 )
 from dbmatch.model import (
@@ -310,8 +309,7 @@ def test_criterion_6_oracle_equivalence():
             pat = sample_pattern(n, p_s, st.pattern)
             lab = sample_labeling(m, st.labeling)
             d2 = apply_repetition_noise(d1, pat, lab, ch, st.noise)
-            marked = build_marked(d2, pat)
-            report = match_all(d1, marked, params)
+            report = match_all(d1, d2, pat, params)
             for pos, row in enumerate(report.matched_rows):
                 ref = naive_accept_set(
                     d1.entries, d2.entries[row], pat.counts, p_x, ch, p_s, params.epsilon

@@ -1,4 +1,4 @@
-"""Marked-view construction and the typicality matcher."""
+"""The typicality matcher: its input checks, scan and scoring."""
 
 import tracemalloc
 
@@ -13,7 +13,6 @@ from dbmatch.matcher import (
     OUTCOME_NONE,
     MatchReport,
     TypicalityParams,
-    build_marked,
     evaluate,
     match_all,
 )
@@ -40,52 +39,17 @@ def labeled(rows):
     return Database(np.asarray(rows, dtype=np.uint8))
 
 
-def row_cells(marked, i):
-    return [
-        marked.entries[i, off : off + c] for off, c in zip(marked.offsets, marked.counts)
-    ]
+# --- input checks ----------------------------------------------------------------
 
-
-# --- marked view ---------------------------------------------------------------
-
-def test_build_marked_all_singletons():
-    d2 = labeled([[0, 1, 0], [1, 1, 1]])
-    marked = build_marked(d2, RepetitionPattern(np.array([1, 1, 1])))
-    assert marked.offsets.tolist() == [0, 1, 2]
-    assert [c.tolist() for c in row_cells(marked, 0)] == [[0], [1], [0]]
-
-
-def test_build_marked_with_erasures():
-    d2 = labeled([[7 % 2, 1, 0]])  # row (a, b, c) = (1, 1, 0)
-    marked = build_marked(d2, RepetitionPattern(np.array([2, 0, 1])))
-    cells = row_cells(marked, 0)
-    assert cells[0].tolist() == [1, 1]
-    assert cells[1].size == 0 and marked.counts[1] == 0
-    assert cells[2].tolist() == [0]
-
-
-def test_build_marked_all_erased():
-    d2 = labeled(np.zeros((3, 0)))
-    marked = build_marked(d2, RepetitionPattern(np.zeros(4, dtype=np.int64)))
-    assert marked.counts.tolist() == [0, 0, 0, 0]
-    assert all(c.size == 0 for c in row_cells(marked, 2))
-
-
-def test_build_marked_arity_mismatch():
+def test_match_all_refuses_counts_that_do_not_fit():
+    params = TypicalityParams.from_components(P_X, CH, P_S)
+    d1 = labeled([[0, 1, 0]])
+    # three counts of 1 do not cover a two-column view
     with pytest.raises(ArityMismatch):
-        build_marked(labeled([[0, 1]]), RepetitionPattern(np.array([1, 1, 1])))
-
-
-def test_build_marked_is_lossless():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        n = int(rng.integers(1, 12))
-        pat = sample_pattern(n, Pmf([0.3, 0.4, 0.3]), rng)
-        d2 = labeled(rng.integers(0, 2, size=(3, pat.total_columns)))
-        marked = build_marked(d2, pat)
-        for i in range(3):
-            flat = np.concatenate(row_cells(marked, i) or [np.array([])])
-            assert np.array_equal(flat.astype(np.uint8), d2.entries[i])
+        match_all(d1, labeled([[0, 1]]), RepetitionPattern(np.array([1, 1, 1])), params)
+    # two counts cover the view but not the three source columns
+    with pytest.raises(ValidationError, match="column count"):
+        match_all(d1, labeled([[0, 1]]), RepetitionPattern(np.array([1, 1])), params)
 
 
 # --- per-column law --------------------------------------------------------------
@@ -116,8 +80,8 @@ def is_typical(x_row, y_row, counts, params):
     """Whether one (source row, flat view row) pair is jointly typical: a
     one-row source matches the row exactly when it is."""
     d1 = Database(np.asarray([x_row], dtype=np.uint8))
-    marked = build_marked(labeled([y_row]), RepetitionPattern(counts))
-    return match_all(d1, marked, params).outcomes == ("matched",)
+    report = match_all(d1, labeled([y_row]), RepetitionPattern(counts), params)
+    return report.outcomes == ("matched",)
 
 
 def test_zero_probability_transition_rejects():
@@ -155,8 +119,7 @@ def test_decoder_equivalence_with_enumeration():
         pat = sample_pattern(n, P_S, st.pattern)
         lab = sample_labeling(m, st.labeling)
         d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-        marked = build_marked(d2, pat)
-        report = match_all(d1, marked, params)
+        report = match_all(d1, d2, pat, params)
         for pos, row in enumerate(report.matched_rows):
             ref = naive_accept_set(
                 d1.entries, d2.entries[row], pat.counts, P_X, CH, P_S, params.epsilon
@@ -186,6 +149,8 @@ SCAN_CASES = [
     ((P_X, CH, P_S), (0.1, 0.15, 0.2), P_S),
     # a count of 3 lies beyond pS's support: its rows have zero mass
     ((P_X, CH, P_S), (0.45, 1.0, 3.0), Pmf([0.2, 0.4, 0.2, 0.2])),
+    # every column erased: the view has no columns, every cell is empty
+    ((P_X, CH, P_S), (0.45, 1.0, 3.0), Pmf([1.0])),
 ]
 
 
@@ -205,18 +170,17 @@ def test_small_scan_blocks_match_oracle(monkeypatch, budget):
             pat = sample_pattern(n, count_pmf, st.pattern)
             lab = sample_labeling(m, st.labeling)
             d2 = apply_repetition_noise(d1, pat, lab, ch, st.noise)
-            marked = build_marked(d2, pat)
             rows = None
             if trial % 2:
                 rows = np.sort(rng.choice(m, size=int(rng.integers(1, m)), replace=False))
-            whole = match_all(d1, marked, params, match_rows=rows)
+            whole = match_all(d1, d2, pat, params, match_rows=rows)
             with monkeypatch.context() as patch:
                 patch.setattr(matcher, "_SCAN_BLOCK_ENTRIES", budget)
                 patch.setattr(matcher, "_FIRST_BLOCK_ROWS", 1)
-                report = match_all(d1, marked, params, match_rows=rows)
+                report = match_all(d1, d2, pat, params, match_rows=rows)
             assert report == whole
             scanned = np.asarray(report.matched_rows)
-            obs, _, table = matcher._observed_side_stats(marked, scanned, params)
+            obs, _, table = matcher._observed_side_stats(d2, pat.counts, scanned, params)
             ref_obs, ref_table = naive_observed_stats(d2.entries[scanned], pat.counts, *law)
             assert obs.tolist() == pytest.approx(ref_obs, rel=1e-12, abs=1e-9)
             assert table.tolist() == [pytest.approx(r, rel=1e-12, abs=1e-9) for r in ref_table]
@@ -249,7 +213,7 @@ def test_scan_stops_once_every_row_saturates(monkeypatch):
         return one_hot(x_blk, k)
 
     monkeypatch.setattr(matcher, "_one_hot", recording)
-    report = match_all(d1, build_marked(d2, pat), params, match_rows=np.arange(40))
+    report = match_all(d1, d2, pat, params, match_rows=np.arange(40))
     assert report.outcomes == (OUTCOME_AMBIGUOUS,) * 40
     assert sum(blocks) <= m // 64
 
@@ -264,11 +228,10 @@ def test_full_match_memory_is_bounded():
     pat = sample_pattern(n, P_S, st.pattern)
     lab = sample_labeling(m, st.labeling)
     d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-    marked = build_marked(d2, pat)
     params = TypicalityParams.from_components(P_X, CH, P_S)
     tracemalloc.start()
     try:
-        report = match_all(d1, marked, params)
+        report = match_all(d1, d2, pat, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,19 +245,18 @@ def test_match_single_row():
     d1 = generate_unlabeled(1, 80, P_X, st.database)
     pat = sample_pattern(80, P_S, st.pattern)
     d2 = apply_repetition_noise(d1, pat, Labeling(np.arange(1)), CH, st.noise)
-    marked = build_marked(d2, pat)
-    report = match_all(d1, marked, TypicalityParams.from_components(P_X, CH, P_S))
+    report = match_all(d1, d2, pat, TypicalityParams.from_components(P_X, CH, P_S))
     assert report.outcomes == ("matched",)
     assert report.assignment[0] == 0
 
 
 def test_duplicate_rows_are_ambiguous():
     x = np.array([[0, 1, 0, 1], [0, 1, 0, 1]], dtype=np.uint8)
-    d1 = Database(x.copy())
+    d1 = Database(x)
     d2 = labeled(x[:1])
-    marked = build_marked(d2, RepetitionPattern(np.ones(4, dtype=np.int64)))
+    pattern = RepetitionPattern(np.ones(4, dtype=np.int64))
     params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=1.0)
-    report = match_all(d1, marked, params)
+    report = match_all(d1, d2, pattern, params)
     assert report.outcomes == (OUTCOME_AMBIGUOUS,)
 
 
@@ -309,8 +271,7 @@ def test_matching_error_below_capacity():
         pat = sample_pattern(n, P_S, st.pattern)
         lab = sample_labeling(m, st.labeling)
         d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-        marked = build_marked(d2, pat)
-        report = evaluate(match_all(d1, marked, params), lab)
+        report = evaluate(match_all(d1, d2, pat, params), lab)
         errs.append(report.error_rate)
     assert float(np.mean(errs)) <= 0.05
 
@@ -322,20 +283,19 @@ def test_match_rows_subset():
     pat = sample_pattern(n, P_S, st.pattern)
     lab = sample_labeling(m, st.labeling)
     d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
-    marked = build_marked(d2, pat)
     params = TypicalityParams.from_components(P_X, CH, P_S)
     rows = np.array([3, 10, 17])
-    report = match_all(d1, marked, params, match_rows=rows)
+    report = match_all(d1, d2, pat, params, match_rows=rows)
     assert report.matched_rows == (3, 10, 17)
-    full = match_all(d1, marked, params)
+    full = match_all(d1, d2, pat, params)
     for row in rows:
         assert full.outcomes[row] == report.outcomes[report.matched_rows.index(row)]
-    empty = match_all(d1, marked, params, match_rows=np.array([], dtype=np.int64))
+    empty = match_all(d1, d2, pat, params, match_rows=np.array([], dtype=np.int64))
     assert empty.matched_rows == () and empty.outcomes == ()
     # a row outside 0..m-1 is refused, not wrapped around or left to IndexError
     for bad in ([-1, m - 1], [m]):
         with pytest.raises(ValidationError, match=f"0..{m - 1}"):
-            match_all(d1, marked, params, match_rows=np.array(bad))
+            match_all(d1, d2, pat, params, match_rows=np.array(bad))
 
 
 # --- evaluation ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ from dbmatch.model import (
     Database,
     Labeling,
     RepetitionPattern,
+    SeedBatch,
     apply_repetition_noise,
     generate_seeds,
     generate_unlabeled,
@@ -17,7 +18,7 @@ from dbmatch.model import (
     substreams,
     trial_seed_sequence,
 )
-from dbmatch.probability import Channel, Pmf
+from dbmatch.probability import Channel, Pmf, SymbolMap
 
 
 def test_point_mass_source_is_constant():
@@ -148,7 +149,7 @@ def test_conditional_law_small_scale():
     rng = np.random.default_rng(12)
     trials = 200_000
     d1_entries = np.tile(np.array([[0, 1]], dtype=np.uint8), (trials, 1))
-    d1 = Database(d1_entries.copy())
+    d1 = Database(d1_entries)
     pattern = RepetitionPattern(np.array([2, 1]))
     d2 = apply_repetition_noise(
         d1, pattern, Labeling(np.arange(trials)), Channel.symmetric(2, q), rng
@@ -281,9 +282,32 @@ def test_seeds_share_column_counts():
 def test_empty_seed_batch():
     rng = np.random.default_rng(14)
     pattern = sample_pattern(4, Pmf([0.5, 0.5]), rng)
-    seeds = generate_seeds(0, 4, Pmf.uniform(2), pattern, Channel.identity(2), rng)
-    assert seeds.size == 0
-    assert seeds.g2.shape == (0, pattern.total_columns)
+    for p_x in (Pmf.uniform(2), Pmf([0.2, 0.3, 0.5])):
+        seeds = generate_seeds(0, 4, p_x, pattern, Channel.identity(p_x.size), rng)
+        assert seeds.size == 0
+        assert seeds.g1.shape == (0, 4) and seeds.g1.dtype == np.uint8
+        assert seeds.g2.shape == (0, pattern.total_columns) and seeds.g2.dtype == np.uint8
+
+
+def test_value_types_leave_the_callers_array_writable():
+    # each type holds a read-only array; the array passed in stays writable,
+    # and the memo-key types (Pmf, Channel) and SymbolMap hold a copy of it
+    cases = [
+        (lambda a: Database(a).entries, np.zeros((2, 3), dtype=np.uint8), False),
+        (lambda a: RepetitionPattern(a).counts, np.array([2, 0, 1]), False),
+        (lambda a: Labeling(a).perm, np.array([1, 2, 0]), False),
+        (lambda a: Labeling(a).inverse, np.array([1, 2, 0]), True),
+        (lambda a: SeedBatch(a, np.zeros((2, 1), np.uint8)).g1, np.zeros((2, 3), np.uint8), False),
+        (lambda a: SeedBatch(np.zeros((2, 3), np.uint8), a).g2, np.zeros((2, 1), np.uint8), False),
+        (lambda a: Pmf(a).probs, np.array([0.25, 0.75]), True),
+        (lambda a: Channel(a).rows, np.eye(2), True),
+        (lambda a: SymbolMap(a).map, np.array([1, 0]), True),
+    ]
+    for held, arr, copied in cases:
+        out = held(arr)
+        assert arr.flags.writeable
+        assert not out.flags.writeable
+        assert np.shares_memory(out, arr) != copied
 
 
 def test_noiseless_seeds_repeat_source_columns():
