@@ -23,6 +23,11 @@ from .probability import SymbolMap
 # marks alignment cells with fewer source columns left than noisy ones;
 # adding up to n * b mismatches to it cannot overflow int64
 _INFEASIBLE = np.int64(2**62)
+# entries per row tile of the adjacent-column comparison: the bool tile
+# and its uint16 accumulator take 768 KiB together, whatever the view's size
+_HAMMING_TILE_ENTRIES = 1 << 18
+# tiles a uint16 accumulator of 0/1 entries can add before it may wrap
+_HAMMING_FOLD_TILES = int(np.iinfo(np.uint16).max)
 
 
 @dataclass(frozen=True)
@@ -53,11 +58,28 @@ class DeletionEstimate:
 
 
 def consecutive_hamming(d2: Database) -> np.ndarray:
-    """Hamming distance between each adjacent column pair of the view."""
+    """Hamming distance between each adjacent column pair of the view,
+    counted in row tiles of about _HAMMING_TILE_ENTRIES entries."""
     e = d2.entries
-    if e.shape[1] <= 1:
+    m, k = e.shape
+    if k <= 1:
         return np.zeros(0, dtype=np.int64)
-    return (e[:, 1:] != e[:, :-1]).sum(axis=0).astype(np.int64)
+    # row tiles add their mismatches into a uint16 accumulator, folded into
+    # the int64 distances before it can wrap, so no m x (k - 1) temporary
+    tile = max(1, min(m, _HAMMING_TILE_ENTRIES // (k - 1)))
+    dist = np.zeros(k - 1, dtype=np.int64)
+    hit = np.empty((tile, k - 1), dtype=bool)
+    acc = np.zeros((tile, k - 1), dtype=np.uint16)
+    for i, lo in enumerate(range(0, m, tile)):
+        hi = min(m, lo + tile)
+        r = hi - lo
+        np.not_equal(e[lo:hi, 1:], e[lo:hi, :-1], out=hit[:r])
+        acc[:r] += hit[:r]
+        if (i + 1) % _HAMMING_FOLD_TILES == 0:
+            dist += acc.sum(axis=0, dtype=np.int64)
+            acc.fill(0)
+    dist += acc.sum(axis=0, dtype=np.int64)
+    return dist
 
 
 def detect_replicas(d2: Database, tau: float) -> RunStructure:

@@ -23,8 +23,9 @@ from .errors import MemoryCapExceeded, ValidationError
 from .probability import Channel, Pmf
 
 DEFAULT_ENTRY_CAP = 2_000_000_000
-# entries per tile of the noisy view: each float64 tile buffer is 256 KiB,
-# so the buffers of one tile stay in a core's L2 cache
+# entries per tile of the noisy view and of non-uniform source sampling:
+# each float64 tile buffer is 256 KiB, so a tile's buffers stay in a
+# core's L2 cache
 _NOISE_TILE_ENTRIES = 1 << 15
 
 
@@ -124,11 +125,15 @@ class Labeling:
 
     def __post_init__(self) -> None:
         arr = _read_only(self.perm, np.int64)
-        if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or np.any(np.bincount(arr) != 1):
-            raise ValidationError("labeling must be a permutation of 0..m-1")
-        object.__setattr__(self, "perm", arr)
-        inv = np.empty_like(arr)
+        message = "labeling must be a permutation of 0..m-1"
+        if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or arr.max() >= arr.size:
+            raise ValidationError(message)
+        # entries lie in 0..m-1, so a repeated one leaves some slot unfilled
+        inv = np.full(arr.size, -1, dtype=np.int64)
         inv[arr] = np.arange(arr.size)
+        if inv.min() < 0:
+            raise ValidationError(message)
+        object.__setattr__(self, "perm", arr)
         object.__setattr__(self, "_inverse", _read_only(inv))
 
     @property
@@ -169,15 +174,24 @@ def _check_entry_budget(rows: int, cols: int, cap: int) -> None:
 
 
 def _sample_symbols(p: Pmf, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Inverse-cdf sampling; one uniform draw per entry, uint8 output."""
+    """Inverse-cdf sampling; one uniform draw per entry, uint8 output.  A
+    non-uniform p draws its float64 uniforms in row-major tiles of
+    _NOISE_TILE_ENTRIES, so no temporary grows with the output."""
     if p.size > 256:
         raise ValidationError("alphabets above 256 symbols are not supported")
     if np.all(p.probs == p.probs[0]):
         return rng.integers(0, p.size, size=shape, dtype=np.uint8)
     cdf = np.cumsum(p.probs)
     cdf[-1] = 1.0
-    u = rng.random(shape)
-    return np.searchsorted(cdf, u, side="right").astype(np.uint8)
+    out = np.empty(shape, dtype=np.uint8)
+    flat = out.reshape(-1)
+    # row-major tiles take the draws one-shot sampling would take, in order
+    u = np.empty(min(flat.size, _NOISE_TILE_ENTRIES))
+    for lo in range(0, flat.size, _NOISE_TILE_ENTRIES):
+        hi = min(flat.size, lo + _NOISE_TILE_ENTRIES)
+        rng.random(out=u[: hi - lo])
+        flat[lo:hi] = np.searchsorted(cdf, u[: hi - lo], side="right")
+    return out
 
 
 def generate_unlabeled(

@@ -4,6 +4,8 @@ are pinned against; shared by the unit and acceptance tests."""
 import itertools
 import math
 
+import numpy as np
+
 from dbmatch.matcher import TypicalityParams
 from dbmatch.probability import LOG_ZERO
 
@@ -14,6 +16,21 @@ def psi_profile(p_x, ch):
     p_y = p_x.probs @ ch.rows
     dev = ch.rows - p_y[None, :]
     return (p_x.probs[:, None] * dev * dev).sum(axis=0)
+
+
+def naive_consecutive_hamming(entries):
+    """Adjacent-column Hamming distances from one whole-view comparison."""
+    if entries.shape[1] <= 1:
+        return np.zeros(0, dtype=np.int64)
+    return (entries[:, 1:] != entries[:, :-1]).sum(axis=0).astype(np.int64)
+
+
+def naive_sample_symbols(probs, shape, rng):
+    """One-shot inverse-cdf sampling: every float64 uniform drawn at once,
+    then counted against the cdf; uint8 output."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.uint8)
 
 
 def naive_runs(dists, k, cut):

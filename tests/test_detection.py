@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dbmatch import detection
 from dbmatch.detection import (
     DeletionEstimate,
     RunStructure,
@@ -26,7 +27,7 @@ from dbmatch.model import (
     substreams,
 )
 from dbmatch.probability import Channel, Pmf, SymbolMap, pipeline_scalars
-from oracles import naive_deletion_search, naive_runs
+from oracles import naive_consecutive_hamming, naive_deletion_search, naive_runs
 
 
 def labeled(rows):
@@ -51,6 +52,44 @@ def test_hamming_single_difference():
 def test_hamming_empty_cases():
     assert consecutive_hamming(labeled(np.zeros((4, 1)))).size == 0
     assert consecutive_hamming(labeled(np.zeros((4, 0)))).size == 0
+
+
+def test_hamming_matches_oracle(monkeypatch):
+    # random views, m = 0 and K in {0, 1} among them; a 7-entry budget cuts
+    # most of them into several row tiles with a partial last one
+    rng = np.random.default_rng(24)
+    for budget in (detection._HAMMING_TILE_ENTRIES, 7):
+        monkeypatch.setattr(detection, "_HAMMING_TILE_ENTRIES", budget)
+        for case in range(300):
+            m = case % 5 if case < 20 else int(rng.integers(0, 60))
+            k = case % 4 if case < 20 else int(rng.integers(0, 14))
+            e = rng.integers(0, (2, 8)[case % 2], size=(m, k)).astype(np.uint8)
+            got = consecutive_hamming(labeled(e))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, naive_consecutive_hamming(e))
+
+
+def test_hamming_folds_its_accumulator_before_it_wraps(monkeypatch):
+    # one-row tiles: 70,000 additions into a uint16 slot would read 4,464
+    monkeypatch.setattr(detection, "_HAMMING_TILE_ENTRIES", 1)
+    e = np.zeros((70_000, 2), dtype=np.uint8)
+    e[:, 1] = 1
+    assert consecutive_hamming(labeled(e)).tolist() == [70_000]
+
+
+@pytest.mark.parametrize("m", [20_000, 200_000])
+def test_hamming_memory_does_not_grow_with_rows(m):
+    # the whole m x (K - 1) comparison takes 0.8 MB and 7.8 MB; the tile
+    # buffers take 0.8 MB at both sizes
+    d2 = labeled(np.random.default_rng(m).integers(0, 2, size=(m, 40), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        dists = consecutive_hamming(d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dists, naive_consecutive_hamming(d2.entries))
+    assert peak < 1e6
 
 
 # --- replica detection --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Orchestration layer: trials, sweeps, benches, reproducibility."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from dbmatch.errors import ValidationError
 from dbmatch.experiments import (
     config_from_dict,
+    config_params,
+    config_scalars,
     detection_bench,
     records_to_csv,
     records_to_json,
@@ -216,6 +219,41 @@ def test_match_rows_subsample():
     rec = run_trial(cfg, trial_seed_sequence(cfg.master_seed, 0), 0)
     assert not rec.failed
     assert rec.error_rate is not None
+
+
+def stated_trial_memory(m, n, k, b, matched):
+    """README's bound on a trial's peak, in bytes: the source and the view,
+    the labeling, its inverse and a row index, the match report and its
+    scored copy, the seed rows and the deletion search, the scan budget
+    and the tile buffers."""
+    return m * (n + k) + 24 * m + 300 * matched + 20 * b * (n + k) + 3 * 16 * 2**20 + 2**20
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"m": 50_000, "matchRows": 40},
+        {"m": 50_000, "matchRows": 40, "pX": [0.3, 0.7], "channel": [[0.9, 0.1], [0.2, 0.8]]},
+        {"m": 3000, "pX": [0.3, 0.7], "seedRows": 800},
+    ],
+)
+def test_trial_peak_memory_within_stated_bound(overrides):
+    data = {k: v for k, v in BASE.items() if k != "rate"}
+    cfg = config_from_dict(data | {"n": 40, "trials": 1} | overrides)
+    # set-up is memoized, so it is paid before the trial
+    config_scalars(cfg)
+    config_params(cfg)
+    tracemalloc.start()
+    try:
+        rec = run_trial(cfg, trial_seed_sequence(cfg.master_seed, 0), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.failed
+    m = cfg.rows
+    k_max = cfg.n * (cfg.p_s.size - 1)
+    matched = min(m, cfg.match_rows or m)
+    assert peak <= stated_trial_memory(m, cfg.n, k_max, seed_batch_size(cfg), matched)
 
 
 # --- sweeps -------------------------------------------------------------------------

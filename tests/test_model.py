@@ -1,5 +1,7 @@
 """Generative-model behavior: laws, determinism, dimensions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from dbmatch.model import (
     trial_seed_sequence,
 )
 from dbmatch.probability import Channel, Pmf, SymbolMap
+from oracles import naive_sample_symbols
 
 
 def test_point_mass_source_is_constant():
@@ -47,6 +50,45 @@ def test_entry_cap_guard():
         generate_unlabeled(10**6, 10**6, Pmf.uniform(2), np.random.default_rng(0), entry_cap=10**6)
 
 
+def test_tiled_sampler_matches_one_shot():
+    # bit for bit, with the generator left in the same state; 1093 x 61 is
+    # two full tiles and a partial third
+    tile = model._NOISE_TILE_ENTRIES
+    assert 2 * tile < 1093 * 61 < 3 * tile and (1093 * 61) % tile
+    for p in (Pmf([0.2, 0.3, 0.5]), Pmf([0.9, 0.1]), Pmf([0.5, 0.0, 0.25, 0.25])):
+        for shape in ((0, 60), (7, 0), (0, 0), (7, 3), (1, tile), (1093, 61)):
+            rng, ref = np.random.default_rng(40), np.random.default_rng(40)
+            got = model._sample_symbols(p, shape, rng)
+            want = naive_sample_symbols(p.probs, shape, ref)
+            assert got.dtype == np.uint8 and got.shape == shape
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_non_uniform_seed_sources_match_one_shot():
+    p_x = Pmf([0.2, 0.3, 0.5])
+    pattern = RepetitionPattern(np.array([1, 2, 0, 1]))
+    seeds = generate_seeds(9000, 4, p_x, pattern, Channel.symmetric(3, 0.1), np.random.default_rng(41))
+    want = naive_sample_symbols(p_x.probs, (9000, 4), np.random.default_rng(41))
+    assert np.array_equal(seeds.g1, want)
+
+
+def test_non_uniform_source_memory_is_one_byte_per_entry():
+    # one-shot sampling peaked at 17 bytes per entry: float64 uniforms, then
+    # intp indices, then the uint8 cast
+    m, n = 200_000, 60
+    rng = np.random.default_rng(42)
+    tracemalloc.start()
+    try:
+        d1 = generate_unlabeled(m, n, Pmf([0.2, 0.3, 0.5]), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d1.entries.shape == (m, n)
+    # a tile takes a float64 uniform and an intp index per entry
+    assert peak < 1.1 * m * n + 16 * model._NOISE_TILE_ENTRIES
+
+
 def test_pattern_degenerate_supports():
     rng = np.random.default_rng(2)
     all_ones = sample_pattern(40, Pmf([0.0, 1.0]), rng)
@@ -72,6 +114,29 @@ def test_labeling_properties():
     lab = sample_labeling(100, np.random.default_rng(5))
     assert np.all(lab.perm[lab.inverse] == np.arange(100))
     assert np.all(lab.inverse[lab.perm] == np.arange(100))
+
+
+def test_labeling_inverse_on_random_permutations():
+    rng = np.random.default_rng(43)
+    for m in (1, 2, 17, 5000):
+        perm = rng.permutation(m)
+        lab = Labeling(perm)
+        assert lab.inverse.dtype == np.int64
+        assert np.array_equal(lab.inverse, np.argsort(perm))
+
+
+def test_labeling_refuses_non_permutations_without_counting_entries():
+    # a count table sized by the largest entry would take 8 GB for 10**9
+    # and 7.28 TiB for 10**12 before refusing
+    for perm in ([0, 10**12], [0, 10**9], [0, 0], [-1, 0], [1, 2], [2, 0, 0]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="labeling must be a permutation"):
+                Labeling(np.array(perm))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 def test_labeling_uniformity():
