@@ -141,6 +141,9 @@ def detect_deletions(
     k_tilde = g2_collapsed.shape[1]
     if k_tilde > n:
         raise RunMismatch(f"{k_tilde} runs exceed the {n} source columns")
+    if g1.shape[0] == 0:
+        # every set scores zero, and the first n - k_tilde columns come first
+        return DeletionEstimate(tuple(range(n - k_tilde)), 0)
     g2s = sigma.apply(g2_collapsed)
     # mismatch[a, j]: rows where source column a differs from noisy column j,
     # b minus the rows where they agree, summed symbol by symbol

@@ -14,6 +14,7 @@ across threads; generation itself draws from the caller's Generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -173,14 +174,40 @@ def _check_entry_budget(rows: int, cols: int, cap: int) -> None:
         )
 
 
+def _uniform_symbols(k: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Uniform symbols on 0..k-1, equal bit for bit, with an equal final
+    generator state, to rng.integers(0, k, size=shape, dtype=np.uint8).
+
+    For k = 2**j that method takes one byte of a 32-bit draw per entry, low
+    byte first, and keeps its top j bits, never rejecting; drawing the
+    words at once and shifting their bytes in place does the same work
+    without the per-entry loop.  k = 1 draws nothing."""
+    if k == 1:
+        return np.zeros(shape, dtype=np.uint8)
+    if k & (k - 1):
+        return rng.integers(0, k, size=shape, dtype=np.uint8)
+    size = math.prod(shape)
+    words = rng.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
+    # the low byte of each word comes first whatever the machine's byte order
+    out = words.astype("<u4", copy=False).view(np.uint8)[:size]
+    out >>= 8 - (k.bit_length() - 1)
+    return out.reshape(shape)
+
+
 def _sample_symbols(p: Pmf, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Inverse-cdf sampling; one uniform draw per entry, uint8 output.  A
-    non-uniform p draws its float64 uniforms in row-major tiles of
-    _NOISE_TILE_ENTRIES, so no temporary grows with the output."""
+    """I.i.d. symbols from p, uint8 output.
+
+    Draw contract: a uniform p over 2**j symbols takes the top j bits of
+    each byte of consecutive 32-bit draws, low byte first, four entries
+    per draw; this equals Generator.integers(0, 2**j, dtype=np.uint8) on
+    numpy 2.4.6.  Other uniform alphabets call Generator.integers, and a
+    one-symbol alphabet draws nothing.  A non-uniform p is sampled by
+    inverse cdf, one float64 uniform per entry, drawn in row-major tiles
+    of _NOISE_TILE_ENTRIES so that no temporary grows with the output."""
     if p.size > 256:
         raise ValidationError("alphabets above 256 symbols are not supported")
     if np.all(p.probs == p.probs[0]):
-        return rng.integers(0, p.size, size=shape, dtype=np.uint8)
+        return _uniform_symbols(p.size, shape, rng)
     cdf = np.cumsum(p.probs)
     cdf[-1] = 1.0
     out = np.empty(shape, dtype=np.uint8)
@@ -230,13 +257,17 @@ def _noisy_repeat(
     """Repeat columns per the pattern, pass every entry through the channel.
 
     Output row i derives from source row rows[i] (source row i when rows
-    is None).  Reproducibility contract: one float64 uniform per output
-    entry, drawn row-major over the output, mapped through the inverse cdf
-    of the channel row of its source symbol (the output is the number of
-    cdf values at or below the draw).  A float64 uniform takes one 64-bit
-    draw, so the output and the generator's final state do not depend on
-    how the rows are tiled.  The work runs in tiles of about
+    is None), and every entry of rows must index a source row.
+    Reproducibility contract, for every alphabet: one float64 uniform per
+    output entry, drawn row-major over the output, mapped through the
+    inverse cdf of the channel row of its source symbol (the output is the
+    number of cdf values at or below the draw).  A float64 uniform takes
+    one 64-bit draw, so the output and the generator's final state do not
+    depend on how the rows are tiled.  The work runs in tiles of about
     _NOISE_TILE_ENTRIES entries whose buffers are allocated once per call.
+    A two-symbol channel has one threshold per source symbol, so each
+    entry selects between its two comparisons instead of gathering a
+    threshold per entry.
     """
     if rows is None:
         rows = np.arange(source.shape[0])
@@ -245,30 +276,49 @@ def _noisy_repeat(
     out = np.empty((m, k_total), dtype=np.uint8)
     if k_total == 0 or m == 0:
         return out
-    if int(source.max()) >= ch.size:
+    k = ch.size
+    if int(source.max()) >= k:
         raise ValidationError("source symbols exceed the channel alphabet")
+    # symbols lie below the alphabet size, so they fit the output's type
+    source = source.astype(np.uint8, copy=False)
     col_of = np.repeat(np.arange(pattern.n), pattern.counts)
     # thresholds[c][x] = P(Y <= c | X = x); the last cdf value is 1 and no
     # draw reaches it, so k-1 thresholds decide the output
     thresholds = np.ascontiguousarray(np.cumsum(ch.rows, axis=1)[:, :-1].T)
     tile = min(m, max(1, _NOISE_TILE_ENTRIES // k_total))
-    src = np.empty((tile, pattern.n), dtype=source.dtype)
-    x = np.empty((tile, k_total), dtype=np.intp)
+    src = np.empty((tile, pattern.n), dtype=np.uint8)
     u = np.empty((tile, k_total))
-    t = np.empty((tile, k_total))
-    hit = np.empty((tile, k_total), dtype=bool)
+    if k == 2:
+        t0, t1 = thresholds[0]
+        hit0 = np.empty((tile, k_total), dtype=bool)
+        hit1 = np.empty((tile, k_total), dtype=bool)
+    elif k > 2:
+        x = np.empty((tile, k_total), dtype=np.intp)
+        t = np.empty((tile, k_total))
+        hit = np.empty((tile, k_total), dtype=bool)
     for lo in range(0, m, tile):
         hi = min(m, lo + tile)
         r = hi - lo
-        source.take(rows[lo:hi], axis=0, out=src[:r])
-        x[:r] = src[:r, col_of]
         rng.random(out=u[:r])
         y = out[lo:hi]
-        if thresholds.shape[0] == 0:
+        if k == 1:
             y.fill(0)
             continue
-        # mode="wrap" skips take's buffered bounds check; symbols were
-        # checked against the alphabet above
+        # mode="wrap" skips take's buffered bounds check: rows and col_of
+        # index the source, and symbols were checked against the alphabet
+        source.take(rows[lo:hi], axis=0, out=src[:r], mode="wrap")
+        if k == 2:
+            # y = hit0 where x is 0 and hit1 where x is 1, as
+            # hit0 ^ ((hit0 ^ hit1) & x); x is 0 or 1, so it reads as bool
+            yb = y.view(np.bool_)
+            src[:r].take(col_of, axis=1, out=y, mode="wrap")
+            np.greater_equal(u[:r], t0, out=hit0[:r])
+            np.greater_equal(u[:r], t1, out=hit1[:r])
+            hit1[:r] ^= hit0[:r]
+            yb &= hit1[:r]
+            yb ^= hit0[:r]
+            continue
+        x[:r] = src[:r, col_of]
         thresholds[0].take(x[:r], out=t[:r], mode="wrap")
         np.greater_equal(u[:r], t[:r], out=y.view(np.bool_))
         for c in range(1, thresholds.shape[0]):

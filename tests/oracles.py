@@ -33,6 +33,26 @@ def naive_sample_symbols(probs, shape, rng):
     return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.uint8)
 
 
+def naive_uniform_symbols(k, shape, rng):
+    """Uniform symbols on 0..k-1 from one Generator.integers call; uint8 output."""
+    return rng.integers(0, k, size=shape, dtype=np.uint8)
+
+
+def naive_noisy_view(source, rows, counts, ch, rng):
+    """Slow oracle for the noisy view: one rng.random((m, K)) draw, then
+    each entry is searchsorted(cdf[x], u, side="right") for its source
+    symbol x, with output row i taken from source row rows[i]."""
+    x = source[rows][:, np.repeat(np.arange(len(counts)), counts)]
+    cdf = np.cumsum(ch.rows, axis=1)
+    cdf[:, -1] = 1.0
+    u = rng.random(x.shape)
+    out = np.zeros(x.shape, dtype=np.uint8)
+    for a in range(ch.size):
+        hit = x == a
+        out[hit] = np.searchsorted(cdf[a], u[hit], side="right")
+    return out
+
+
 def naive_runs(dists, k, cut):
     """Replica runs of k columns as half-open intervals, by one pass over the
     adjacent-column distances: a distance below the cut merges, a tie splits."""

@@ -240,6 +240,28 @@ def test_lexicographic_tie_break_zero_seeds():
     assert est.indices == (0, 1)
 
 
+def test_zero_seed_rows_return_the_first_set_at_once():
+    # with b = 0 every distance is zero: the early return must give the set
+    # the alignment program reads back when it scores every set zero (one
+    # all-zero seed row on each side), and the enumeration's first set
+    rng = np.random.default_rng(78)
+    cases = [(n, k_tilde) for n in (1, 2, 7) for k_tilde in (0, n)]
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        cases.append((n, int(rng.integers(0, n + 1))))
+    for n, k_tilde in cases:
+        g1 = np.empty((0, n), dtype=np.uint8)
+        g2 = np.empty((0, k_tilde), dtype=np.uint8)
+        est = detect_deletions(g1, g2, SymbolMap([0, 1]))
+        ties = detect_deletions(
+            np.zeros((1, n), dtype=np.uint8), np.zeros((1, k_tilde), dtype=np.uint8), SymbolMap([0, 1])
+        )
+        ref_set, ref_dist = naive_deletion_search(g1, g2)
+        assert est == ties
+        assert est.indices == ref_set == tuple(range(n - k_tilde))
+        assert est.min_distance == ref_dist == 0
+
+
 def test_run_mismatch():
     with pytest.raises(RunMismatch):
         detect_deletions(

@@ -21,7 +21,7 @@ from dbmatch.model import (
     trial_seed_sequence,
 )
 from dbmatch.probability import Channel, Pmf, SymbolMap
-from oracles import naive_sample_symbols
+from oracles import naive_noisy_view, naive_sample_symbols, naive_uniform_symbols
 
 
 def test_point_mass_source_is_constant():
@@ -63,6 +63,36 @@ def test_tiled_sampler_matches_one_shot():
             assert got.dtype == np.uint8 and got.shape == shape
             assert np.array_equal(got, want)
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_uniform_sampler_matches_integers():
+    # bit for bit, with the generator left in the same state, both from a
+    # fresh generator and from one holding the unused half of a 64-bit draw
+    # (an odd number of 32-bit draws taken before)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1000)]
+    shapes += [(size, 1) for size in range(1, 10)]
+    shapes += [(4 * j + extra, 1) for j in (2, 25) for extra in (1, 2, 3)]
+    shapes += [(7, 3), (100, 60), (1001, 13)]
+    for k in (1, 2, 3, 4, 5, 8, 16, 256):
+        for shape in shapes:
+            for prior in (0, 1):
+                rng, ref = np.random.default_rng(60 + k), np.random.default_rng(60 + k)
+                for g in (rng, ref):
+                    g.integers(0, 2**32, size=prior, dtype=np.uint32)
+                got = model._sample_symbols(Pmf.uniform(k), shape, rng)
+                want = naive_uniform_symbols(k, shape, ref)
+                assert got.dtype == np.uint8 and got.shape == shape
+                assert np.array_equal(got, want), (k, shape, prior)
+                assert rng.bit_generator.state == ref.bit_generator.state, (k, shape, prior)
+
+
+def test_one_symbol_source_draws_nothing():
+    rng = np.random.default_rng(61)
+    rng.integers(0, 2**32, size=1, dtype=np.uint32)
+    before = rng.bit_generator.state
+    out = model._sample_symbols(Pmf.uniform(1), (40, 3), rng)
+    assert out.shape == (40, 3) and not out.any()
+    assert rng.bit_generator.state == before
 
 
 def test_non_uniform_seed_sources_match_one_shot():
@@ -229,21 +259,6 @@ def test_conditional_law_small_scale():
                 assert abs(hits - p) < 4 * sigma + 1e-4
 
 
-def naive_noisy_view(source, rows, counts, ch, rng):
-    """Slow oracle for the noisy view: one rng.random((m, K)) draw, then
-    each entry is searchsorted(cdf[x], u, side="right") for its source
-    symbol x, with output row i taken from source row rows[i]."""
-    x = source[rows][:, np.repeat(np.arange(len(counts)), counts)]
-    cdf = np.cumsum(ch.rows, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random(x.shape)
-    out = np.zeros(x.shape, dtype=np.uint8)
-    for a in range(ch.size):
-        hit = x == a
-        out[hit] = np.searchsorted(cdf[a], u[hit], side="right")
-    return out
-
-
 def random_channel(k, rng):
     """A random k x k channel with about 40% zero entries."""
     rows = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
@@ -301,6 +316,34 @@ def test_noise_oracle_alphabets_with_zero_rows():
             counts = rng.integers(0, 4, size=n)
             m = int(rng.integers(1, 400))
             assert_noise_matches_oracle(k, m, counts, random_channel(k, rng), 100 * k + rep)
+
+
+# two-symbol channels select between two comparisons per entry; their
+# thresholds P(Y = 0 | X = 0) and P(Y = 0 | X = 1) come in either order
+TWO_SYMBOL_CHANNELS = [
+    Channel.symmetric(2, 0.42),
+    Channel([[1.0, 0.0], [0.3, 0.7]]),  # Z-channel: thresholds 1 > 0.3
+    Channel([[0.0, 1.0], [0.7, 0.3]]),  # its mirror: thresholds 0 < 0.7
+    Channel.identity(2),
+    Channel([[0.0, 1.0], [1.0, 0.0]]),  # swap
+]
+
+
+@pytest.mark.parametrize("ch", TWO_SYMBOL_CHANNELS, ids=["bsc", "z", "z-mirror", "identity", "swap"])
+def test_noise_oracle_two_symbol_channels(ch):
+    rng = np.random.default_rng(49)
+    counts = rng.integers(0, 4, size=25)
+    tile = max(1, model._NOISE_TILE_ENTRIES // int(counts.sum()))
+    # several tiles with a partial last, one row, K = 0, K above one tile
+    assert_noise_matches_oracle(2, 3 * tile + tile // 3, counts, ch, 50)
+    assert_noise_matches_oracle(2, 1, [2, 0, 1, 3], ch, 51)
+    empty = assert_noise_matches_oracle(2, 30, [0, 0, 0], ch, 52)
+    assert empty.shape == (30, 0)
+    assert_noise_matches_oracle(2, 3, [40_000, 0, 30_001], ch, 53)
+    for rep in range(5):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(1, 400))
+        assert_noise_matches_oracle(2, m, rng.integers(0, 4, size=n), ch, 60 + rep)
 
 
 def test_noise_oracle_one_symbol_channel():
