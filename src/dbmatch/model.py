@@ -181,10 +181,9 @@ def _uniform_symbols(k: int, shape: tuple[int, ...], rng: np.random.Generator) -
     For k = 2**j that method takes one byte of a 32-bit draw per entry, low
     byte first, and keeps its top j bits, never rejecting; drawing the
     words at once and shifting their bytes in place does the same work
-    without the per-entry loop.  k = 1 draws nothing."""
-    if k == 1:
-        return np.zeros(shape, dtype=np.uint8)
-    if k & (k - 1):
+    without the per-entry loop.  Other k, and k = 1, which draws nothing,
+    call that method."""
+    if k == 1 or k & (k - 1):
         return rng.integers(0, k, size=shape, dtype=np.uint8)
     size = math.prod(shape)
     words = rng.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
