@@ -12,19 +12,21 @@ column law (pX, channel, pS) and its three entropies.
 The scan scores a block of source rows against a tile of matched rows
 with one matmul: a matched row's cell log-likelihoods form a row over
 (column, symbol), and a source row is a one-hot row over the same axis.
-Blocks start small and double up to a fixed entry budget, a row leaves
-the scan once two source rows accept it, and no array the scan builds
-exceeds the budget.  Row scans are pure and parallelize over matched rows.
+Blocks start small and double up to a fixed entry budget, and a row
+leaves the scan once two source rows accept it.  While n * k fits the
+budget, no float64 array the scan builds exceeds it; beyond, one row's
+n * k-entry cell table and one-hot row do.  Memory grows with n * k,
+never with m.  Row scans are pure and parallelize over matched rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ArityMismatch, ValidationError
-from .model import Database, Labeling, RepetitionPattern
+from .model import Database, Labeling, RepetitionPattern, _read_only
 from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
 
 # entries per array of the scan: the score block (live rows x source rows),
@@ -34,14 +36,9 @@ _SCAN_BLOCK_ENTRIES = 1 << 21
 # source rows in a tile's first block; each later block doubles, up to the budget
 _FIRST_BLOCK_ROWS = 64
 
-OUTCOME_CORRECT = "matched-correct"
-OUTCOME_WRONG = "matched-wrong"
-OUTCOME_AMBIGUOUS = "ambiguous"
-OUTCOME_NONE = "none"
-# an outcome by its accept count capped at 2, and a matched row's by its truth
-_BY_COUNT = np.array([OUTCOME_NONE, "matched", OUTCOME_AMBIGUOUS], dtype=object)
-_BY_TRUTH = np.array([OUTCOME_WRONG, OUTCOME_CORRECT], dtype=object)
-_UNSCORED = frozenset((OUTCOME_NONE, OUTCOME_AMBIGUOUS)).__contains__
+# outcome codes: 0-2 are a row's accept count capped at 2, and evaluate
+# splits each matched row into wrong or correct
+OUTCOME_NONE, OUTCOME_MATCHED, OUTCOME_AMBIGUOUS, OUTCOME_WRONG, OUTCOME_CORRECT = range(5)
 
 
 @dataclass(frozen=True)
@@ -84,19 +81,24 @@ class TypicalityParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchReport:
-    """Outcome of matching a set of shuffled rows against the source rows.
+    """Outcome of matching shuffled rows against the source rows, as
+    read-only arrays aligned by position: the scanned rows (int64), their
+    OUTCOME_* codes (int8) and candidate, the first accepted source row
+    (int64, -1 where none was).  match_all gives the codes NONE, MATCHED
+    and AMBIGUOUS; evaluate() splits MATCHED into WRONG and CORRECT and
+    fills error_rate, the fraction of rows not CORRECT."""
 
-    assignment maps a matched shuffled-row index to its unique typical
-    source-row index.  error_rate is filled by evaluate() and is the
-    fraction of evaluated rows that did not end up matched-correct.
-    """
-
-    matched_rows: tuple[int, ...]
-    outcomes: tuple[str, ...]
-    assignment: dict[int, int]
+    matched_rows: np.ndarray
+    outcomes: np.ndarray
+    candidate: np.ndarray
     error_rate: float | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matched_rows", _read_only(self.matched_rows, np.int64))
+        object.__setattr__(self, "outcomes", _read_only(self.outcomes, np.int8))
+        object.__setattr__(self, "candidate", _read_only(self.candidate, np.int64))
 
 
 def _observed_side_stats(
@@ -160,7 +162,7 @@ def _scan_tile(
     # a row outside the observed-side window never accepts: it is never live
     live = np.flatnonzero(np.abs(-obs / n - params.h_observed) < eps)
     accepts = np.zeros(len(rows), dtype=np.int64)
-    unique_idx = np.full(len(rows), -1, dtype=np.int64)
+    candidate = np.full(len(rows), -1, dtype=np.int64)
     live_table = table[live]
     block = _FIRST_BLOCK_ROWS
     lo = 0
@@ -183,14 +185,14 @@ def _scan_tile(
         blk_counts = np.count_nonzero(ok, axis=1)
         first = np.argmax(ok, axis=1)
         newly = (accepts[live] == 0) & (blk_counts > 0)
-        unique_idx[live[newly]] = lo + first[newly]
+        candidate[live[newly]] = lo + first[newly]
         accepts[live] += blk_counts
         still = accepts[live] < 2
         if not still.all():
             live, live_table = live[still], live_table[still]
         lo = hi
         block *= 2
-    return accepts, unique_idx
+    return accepts, candidate
 
 
 def match_all(
@@ -227,38 +229,26 @@ def match_all(
             raise ValidationError(f"match rows must lie in 0..{d2.m - 1}")
     tile = max(1, _SCAN_BLOCK_ENTRIES // max(1, s_hat.n * params.p_x.size))
     accepts = np.zeros(len(rows), dtype=np.int64)
-    unique_idx = np.full(len(rows), -1, dtype=np.int64)
+    candidate = np.full(len(rows), -1, dtype=np.int64)
     for lo in range(0, len(rows), tile):
-        accepts[lo : lo + tile], unique_idx[lo : lo + tile] = _scan_tile(
+        accepts[lo : lo + tile], candidate[lo : lo + tile] = _scan_tile(
             d1, d2, s_hat.counts, params, rows[lo : lo + tile]
         )
-    matched = accepts == 1
-    return MatchReport(
-        matched_rows=tuple(rows.tolist()),
-        outcomes=tuple(_BY_COUNT[np.minimum(accepts, 2)].tolist()),
-        assignment=dict(zip(rows[matched].tolist(), unique_idx[matched].tolist())),
-    )
+    return MatchReport(rows, np.minimum(accepts, 2).astype(np.int8), candidate)
 
 
 def evaluate(report: MatchReport, labeling: Labeling) -> MatchReport:
     """Score a report against the hidden row permutation.
 
-    A matched row is correct when its assigned source row maps to it under
-    the true labeling.  error_rate is the fraction of evaluated rows not
-    matched-correct, the uniformly-drawn-row estimator.
+    A matched row is correct when its candidate source row maps to it
+    under the true labeling; a scored report is scored again.  error_rate
+    is the fraction of evaluated rows not OUTCOME_CORRECT, the
+    uniformly-drawn-row estimator.
     """
-    theta = labeling.perm
-    outcomes = np.array(report.outcomes, dtype=object)
-    unscored = np.fromiter(map(_UNSCORED, report.outcomes), bool, len(outcomes))
-    pos = np.flatnonzero(~unscored)
-    rows = np.array(report.matched_rows, dtype=np.int64)[pos]
-    src = np.fromiter(map(report.assignment.__getitem__, rows.tolist()), np.int64, len(pos))
-    correct = theta[src] == rows
-    outcomes[pos] = _BY_TRUTH[correct.astype(np.intp)]
-    wrong = len(outcomes) - int(np.count_nonzero(correct))
-    return MatchReport(
-        matched_rows=report.matched_rows,
-        outcomes=tuple(outcomes.tolist()),
-        assignment=dict(report.assignment),
-        error_rate=wrong / len(outcomes) if len(outcomes) else 0.0,
-    )
+    matched = np.flatnonzero(~np.isin(report.outcomes, (OUTCOME_NONE, OUTCOME_AMBIGUOUS)))
+    correct = labeling.perm[report.candidate[matched]] == report.matched_rows[matched]
+    outcomes = report.outcomes.copy()
+    outcomes[matched] = np.where(correct, OUTCOME_CORRECT, OUTCOME_WRONG)
+    rows = len(outcomes)
+    wrong = rows - int(np.count_nonzero(correct))
+    return replace(report, outcomes=outcomes, error_rate=wrong / rows if rows else 0.0)

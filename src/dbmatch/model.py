@@ -278,6 +278,9 @@ def _noisy_repeat(
     k = ch.size
     if int(source.max()) >= k:
         raise ValidationError("source symbols exceed the channel alphabet")
+    # an unsigned source, as the samplers draw, cannot hold a negative symbol
+    if source.dtype.kind != "u" and int(source.min()) < 0:
+        raise ValidationError("source symbols must be nonnegative")
     # symbols lie below the alphabet size, so they fit the output's type
     source = source.astype(np.uint8, copy=False)
     col_of = np.repeat(np.arange(pattern.n), pattern.counts)

@@ -6,7 +6,12 @@ import math
 
 import numpy as np
 
-from dbmatch.matcher import TypicalityParams
+from dbmatch.matcher import (
+    OUTCOME_AMBIGUOUS,
+    OUTCOME_MATCHED,
+    OUTCOME_NONE,
+    TypicalityParams,
+)
 from dbmatch.probability import LOG_ZERO
 
 
@@ -152,3 +157,11 @@ def naive_accept_set(x_rows, y_row, counts, p_x, ch, p_s, eps):
         ):
             accepted.append(i)
     return accepted
+
+
+def naive_outcome(accepted):
+    """A row's outcome code and candidate from its accept set: none, matched
+    or ambiguous, and the first accepted source row, or -1."""
+    if not accepted:
+        return OUTCOME_NONE, -1
+    return (OUTCOME_MATCHED if len(accepted) == 1 else OUTCOME_AMBIGUOUS), accepted[0]

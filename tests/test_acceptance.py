@@ -23,12 +23,7 @@ from dbmatch.detection import (
     true_runs,
 )
 from dbmatch.experiments import config_from_dict, run_sweep, run_trial
-from dbmatch.matcher import (
-    OUTCOME_AMBIGUOUS,
-    OUTCOME_NONE,
-    TypicalityParams,
-    match_all,
-)
+from dbmatch.matcher import TypicalityParams, match_all
 from dbmatch.model import (
     Labeling,
     apply_repetition_noise,
@@ -49,7 +44,7 @@ from dbmatch.probability import (
     pipeline_scalars,
     recommend_seed_size,
 )
-from oracles import naive_accept_set, naive_deletion_search
+from oracles import naive_accept_set, naive_deletion_search, naive_outcome
 
 TOL = 1e-10
 
@@ -314,12 +309,7 @@ def test_criterion_6_oracle_equivalence():
                 ref = naive_accept_set(
                     d1.entries, d2.entries[row], pat.counts, p_x, ch, p_s, params.epsilon
                 )
-                if report.outcomes[pos] == OUTCOME_NONE:
-                    assert ref == []
-                elif report.outcomes[pos] == OUTCOME_AMBIGUOUS:
-                    assert len(ref) >= 2
-                else:
-                    assert ref == [report.assignment[row]]
+                assert (report.outcomes[pos], report.candidate[pos]) == naive_outcome(ref)
 
 
 # --- criterion 7: model fidelity ------------------------------------------------------

@@ -226,7 +226,7 @@ def stated_trial_memory(m, n, k, b, matched):
     the labeling, its inverse and a row index, the match report and its
     scored copy, the seed rows and the deletion search, the scan budget
     and the tile buffers."""
-    return m * (n + k) + 24 * m + 300 * matched + 20 * b * (n + k) + 3 * 16 * 2**20 + 2**20
+    return m * (n + k) + 24 * m + 42 * matched + 20 * b * (n + k) + 3 * 16 * 2**20 + 2**20
 
 
 @pytest.mark.parametrize(

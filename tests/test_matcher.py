@@ -10,7 +10,9 @@ from dbmatch.errors import ArityMismatch, ValidationError
 from dbmatch.matcher import (
     OUTCOME_AMBIGUOUS,
     OUTCOME_CORRECT,
+    OUTCOME_MATCHED,
     OUTCOME_NONE,
+    OUTCOME_WRONG,
     MatchReport,
     TypicalityParams,
     evaluate,
@@ -27,7 +29,7 @@ from dbmatch.model import (
     substreams,
 )
 from dbmatch.probability import Channel, Pmf, capacity
-from oracles import naive_accept_set, naive_observed_stats
+from oracles import naive_accept_set, naive_observed_stats, naive_outcome
 
 
 P_X = Pmf.uniform(2)
@@ -81,7 +83,7 @@ def is_typical(x_row, y_row, counts, params):
     one-row source matches the row exactly when it is."""
     d1 = Database(np.asarray([x_row], dtype=np.uint8))
     report = match_all(d1, labeled([y_row]), RepetitionPattern(counts), params)
-    return report.outcomes == ("matched",)
+    return np.array_equal(report.outcomes, [OUTCOME_MATCHED])
 
 
 def test_zero_probability_transition_rejects():
@@ -124,12 +126,7 @@ def test_decoder_equivalence_with_enumeration():
             ref = naive_accept_set(
                 d1.entries, d2.entries[row], pat.counts, P_X, CH, P_S, params.epsilon
             )
-            if report.outcomes[pos] == OUTCOME_NONE:
-                assert ref == []
-            elif report.outcomes[pos] == OUTCOME_AMBIGUOUS:
-                assert len(ref) >= 2
-            else:
-                assert ref == [report.assignment[row]]
+            assert (report.outcomes[pos], report.candidate[pos]) == naive_outcome(ref)
 
 
 # the k = 8 window channel: a read outside its support window is impossible,
@@ -178,7 +175,8 @@ def test_small_scan_blocks_match_oracle(monkeypatch, budget):
                 patch.setattr(matcher, "_SCAN_BLOCK_ENTRIES", budget)
                 patch.setattr(matcher, "_FIRST_BLOCK_ROWS", 1)
                 report = match_all(d1, d2, pat, params, match_rows=rows)
-            assert report == whole
+            for field in ("matched_rows", "outcomes", "candidate"):
+                assert np.array_equal(getattr(report, field), getattr(whole, field))
             scanned = np.asarray(report.matched_rows)
             obs, _, table = matcher._observed_side_stats(d2, pat.counts, scanned, params)
             ref_obs, ref_table = naive_observed_stats(d2.entries[scanned], pat.counts, *law)
@@ -187,12 +185,7 @@ def test_small_scan_blocks_match_oracle(monkeypatch, budget):
             obs_failures += int(np.sum(np.abs(-obs / n - params.h_observed) >= params.epsilon))
             for pos, row in enumerate(report.matched_rows):
                 ref = naive_accept_set(d1.entries, d2.entries[row], pat.counts, *law, params.epsilon)
-                if report.outcomes[pos] == OUTCOME_NONE:
-                    assert ref == []
-                elif report.outcomes[pos] == OUTCOME_AMBIGUOUS:
-                    assert len(ref) >= 2
-                else:
-                    assert ref == [report.assignment[row]]
+                assert (report.outcomes[pos], report.candidate[pos]) == naive_outcome(ref)
     assert obs_failures > 0
 
 
@@ -214,7 +207,7 @@ def test_scan_stops_once_every_row_saturates(monkeypatch):
 
     monkeypatch.setattr(matcher, "_one_hot", recording)
     report = match_all(d1, d2, pat, params, match_rows=np.arange(40))
-    assert report.outcomes == (OUTCOME_AMBIGUOUS,) * 40
+    assert np.array_equal(report.outcomes, [OUTCOME_AMBIGUOUS] * 40)
     assert sum(blocks) <= m // 64
 
 
@@ -246,8 +239,8 @@ def test_match_single_row():
     pat = sample_pattern(80, P_S, st.pattern)
     d2 = apply_repetition_noise(d1, pat, Labeling(np.arange(1)), CH, st.noise)
     report = match_all(d1, d2, pat, TypicalityParams.from_components(P_X, CH, P_S))
-    assert report.outcomes == ("matched",)
-    assert report.assignment[0] == 0
+    assert np.array_equal(report.outcomes, [OUTCOME_MATCHED])
+    assert np.array_equal(report.candidate, [0])
 
 
 def test_duplicate_rows_are_ambiguous():
@@ -257,7 +250,7 @@ def test_duplicate_rows_are_ambiguous():
     pattern = RepetitionPattern(np.ones(4, dtype=np.int64))
     params = TypicalityParams.from_components(P_X, Channel.identity(2), Pmf([0.0, 1.0]), epsilon=1.0)
     report = match_all(d1, d2, pattern, params)
-    assert report.outcomes == (OUTCOME_AMBIGUOUS,)
+    assert np.array_equal(report.outcomes, [OUTCOME_AMBIGUOUS])
 
 
 def test_matching_error_below_capacity():
@@ -286,12 +279,12 @@ def test_match_rows_subset():
     params = TypicalityParams.from_components(P_X, CH, P_S)
     rows = np.array([3, 10, 17])
     report = match_all(d1, d2, pat, params, match_rows=rows)
-    assert report.matched_rows == (3, 10, 17)
+    assert np.array_equal(report.matched_rows, rows)
     full = match_all(d1, d2, pat, params)
-    for row in rows:
-        assert full.outcomes[row] == report.outcomes[report.matched_rows.index(row)]
+    assert np.array_equal(full.outcomes[rows], report.outcomes)
+    assert np.array_equal(full.candidate[rows], report.candidate)
     empty = match_all(d1, d2, pat, params, match_rows=np.array([], dtype=np.int64))
-    assert empty.matched_rows == () and empty.outcomes == ()
+    assert empty.matched_rows.size == empty.outcomes.size == empty.candidate.size == 0
     # a row outside 0..m-1 is refused, not wrapped around or left to IndexError
     for bad in ([-1, m - 1], [m]):
         with pytest.raises(ValidationError, match=f"0..{m - 1}"):
@@ -301,23 +294,79 @@ def test_match_rows_subset():
 # --- evaluation ---------------------------------------------------------------------
 
 def test_evaluate_all_correct():
-    report = MatchReport(matched_rows=(0, 1), outcomes=("matched", "matched"), assignment={0: 1, 1: 0})
+    report = MatchReport(
+        matched_rows=[0, 1], outcomes=[OUTCOME_MATCHED, OUTCOME_MATCHED], candidate=[1, 0]
+    )
     scored = evaluate(report, Labeling(np.array([1, 0])))
     assert scored.error_rate == 0.0
-    assert scored.outcomes == (OUTCOME_CORRECT, OUTCOME_CORRECT)
+    assert np.array_equal(scored.outcomes, [OUTCOME_CORRECT, OUTCOME_CORRECT])
+    # a scored report is scored again: its rows stay matched
+    rescored = evaluate(scored, Labeling(np.array([0, 1])))
+    assert rescored.error_rate == 1.0
+    assert np.array_equal(rescored.outcomes, [OUTCOME_WRONG, OUTCOME_WRONG])
 
 
 def test_evaluate_empty_assignment():
     report = MatchReport(
-        matched_rows=(0, 1), outcomes=(OUTCOME_NONE, OUTCOME_NONE), assignment={}
+        matched_rows=[0, 1], outcomes=[OUTCOME_NONE, OUTCOME_NONE], candidate=[-1, -1]
     )
     assert evaluate(report, Labeling(np.array([0, 1]))).error_rate == 1.0
 
 
 def test_evaluate_half_correct():
     report = MatchReport(
-        matched_rows=(0, 1, 2, 3),
-        outcomes=("matched", "matched", OUTCOME_NONE, OUTCOME_NONE),
-        assignment={0: 0, 1: 1},
+        matched_rows=[0, 1, 2, 3],
+        outcomes=[OUTCOME_MATCHED, OUTCOME_MATCHED, OUTCOME_NONE, OUTCOME_NONE],
+        candidate=[0, 1, -1, -1],
     )
     assert evaluate(report, Labeling(np.arange(4))).error_rate == 0.5
+
+
+def test_outcome_split_matches_per_row_oracle():
+    # every scored code against the accept set and the true labeling, row by
+    # row, on full matches and on match_rows subsets
+    params = TypicalityParams.from_components(P_X, CH, P_S, epsilon=0.45)
+    rng = np.random.default_rng(26)
+    seen = set()
+    for trial in range(24):
+        st = substreams(2600 + trial)
+        m, n = int(rng.integers(2, 17)), int(rng.integers(2, 9))
+        d1 = generate_unlabeled(m, n, P_X, st.database)
+        pat = sample_pattern(n, P_S, st.pattern)
+        lab = sample_labeling(m, st.labeling)
+        d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
+        rows = None
+        if trial % 2:
+            rows = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        scored = evaluate(match_all(d1, d2, pat, params, match_rows=rows), lab)
+        expected = []
+        for row in range(m) if rows is None else rows:
+            code, src = naive_outcome(
+                naive_accept_set(d1.entries, d2.entries[row], pat.counts, P_X, CH, P_S, 0.45)
+            )
+            if code == OUTCOME_MATCHED:
+                code = OUTCOME_CORRECT if lab.perm[src] == row else OUTCOME_WRONG
+            expected.append(code)
+        assert np.array_equal(scored.outcomes, expected)
+        split = np.bincount(scored.outcomes, minlength=5)
+        assert split[OUTCOME_MATCHED] == 0 and split.sum() == len(expected)
+        wrong = len(expected) - expected.count(OUTCOME_CORRECT)
+        assert scored.error_rate == wrong / len(expected)
+        seen.update(expected)
+    assert seen == {OUTCOME_NONE, OUTCOME_AMBIGUOUS, OUTCOME_WRONG, OUTCOME_CORRECT}
+
+
+def test_report_arrays_are_read_only_with_stated_dtypes():
+    st = substreams(5)
+    d1 = generate_unlabeled(16, 20, P_X, st.database)
+    pat = sample_pattern(20, P_S, st.pattern)
+    lab = sample_labeling(16, st.labeling)
+    d2 = apply_repetition_noise(d1, pat, lab, CH, st.noise)
+    report = match_all(d1, d2, pat, TypicalityParams.from_components(P_X, CH, P_S))
+    dtypes = {"matched_rows": np.int64, "outcomes": np.int8, "candidate": np.int64}
+    for r in (report, evaluate(report, lab)):
+        for field, dtype in dtypes.items():
+            arr = getattr(r, field)
+            assert arr.dtype == dtype and arr.shape == (16,)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0

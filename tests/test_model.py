@@ -378,6 +378,31 @@ def test_view_rejects_symbols_outside_channel():
         )
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+@pytest.mark.parametrize(
+    "ch", [Channel.symmetric(2, 0.1), Channel.symmetric(3, 0.1)], ids=["bsc", "k3"]
+)
+def test_view_and_seeds_reject_negative_symbols(monkeypatch, dtype, ch):
+    source = np.array([[-1, 0], [1, -3]], dtype=dtype)
+    pattern = RepetitionPattern(np.array([1, 2]))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        apply_repetition_noise(
+            Database(source), pattern, Labeling(np.arange(2)), ch, np.random.default_rng(0)
+        )
+    monkeypatch.setattr(model, "_sample_symbols", lambda p, shape, rng: source)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        generate_seeds(2, 2, Pmf.uniform(ch.size), pattern, ch, np.random.default_rng(0))
+    # a signed source of nonnegative symbols gives the unsigned source's view
+    views = [
+        apply_repetition_noise(
+            Database(np.array([[1, 0], [0, 1]], dtype=t)), pattern, Labeling(np.arange(2)), ch,
+            np.random.default_rng(0),
+        ).entries
+        for t in (dtype, np.uint8)
+    ]
+    assert np.array_equal(*views)
+
+
 def test_seeds_share_column_counts():
     rng = np.random.default_rng(13)
     pattern = sample_pattern(9, Pmf([0.2, 0.5, 0.3]), rng)

@@ -2,14 +2,18 @@
 by swapping its public function, as an attribute of its dbmatch module,
 for a wrapper, and binds some arguments by name (d1, d2, g1,
 g2_collapsed).  A trial must therefore call every layer through its
-module, or the benchmark silently reads zero time for it."""
+module, or the benchmark silently reads zero time for it.  It also reads
+the match report: the length of matched_rows for its pair count, and a
+Counter over the scored outcome codes, looked up by matcher.OUTCOME_*."""
 
 import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from dbmatch import experiments
+import numpy as np
+
+from dbmatch import experiments, matcher
 from dbmatch.experiments import config_from_dict
 from dbmatch.model import trial_seed_sequence
 
@@ -39,12 +43,21 @@ def load_tracing():
     return module
 
 
-def test_traced_trial_calls_each_layer_once_and_keeps_its_record():
+def test_traced_trial_calls_each_layer_once_and_keeps_its_record(monkeypatch):
     tracing = load_tracing()
     cfg = config_from_dict(CONFIG)
     experiments.config_scalars(cfg)
     experiments.config_params(cfg)
-    untraced = experiments.run_trial(cfg, trial_seed_sequence(1, 0))
+    scored = []
+    evaluate = matcher.evaluate
+
+    def recording(report, labeling):
+        scored.append(evaluate(report, labeling))
+        return scored[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matcher, "evaluate", recording)
+        untraced = experiments.run_trial(cfg, trial_seed_sequence(1, 0))
     assert not untraced.failed
 
     tracer = tracing.Tracer()
@@ -59,3 +72,13 @@ def test_traced_trial_calls_each_layer_once_and_keeps_its_record():
     assert all(busy[name] > 0 for name in trial_layers)
     assert tracer.work["model.generate_unlabeled"] == 64 * 20
     assert tracer.work["detection.detect_deletions"] > 0
+    assert tracer.work["matcher.match_all"] == CONFIG["matchRows"] * CONFIG["m"]
+    split = np.bincount(scored[0].outcomes, minlength=5)
+    codes = (
+        matcher.OUTCOME_NONE,
+        matcher.OUTCOME_AMBIGUOUS,
+        matcher.OUTCOME_WRONG,
+        matcher.OUTCOME_CORRECT,
+    )
+    assert {code: tracer.outcomes[code] for code in codes} == {code: split[code] for code in codes}
+    assert sum(tracer.outcomes.values()) == CONFIG["matchRows"]
