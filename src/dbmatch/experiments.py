@@ -336,10 +336,9 @@ def _aggregate(rate: float, m: int, records: list[TrialRecord]) -> SweepPoint:
     )
 
 
-def run_sweep(cfg: ExperimentConfig, r_grid: list[float] | None = None) -> SweepResult:
-    """Independent trial batches per rate, with the capacity value attached."""
-    grid = list(r_grid) if r_grid is not None else list(cfg.rate_grid)
-    if not grid:
+def run_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Independent trial batches per rate of cfg.rate_grid, with the capacity value."""
+    if not cfg.rate_grid:
         raise ValidationError("sweep needs a nonempty rate grid")
     if cfg.trials < MIN_RECOMMENDED_TRIALS:
         print(
@@ -349,7 +348,7 @@ def run_sweep(cfg: ExperimentConfig, r_grid: list[float] | None = None) -> Sweep
         )
     cap = probability.capacity(cfg.p_x, cfg.p_s, cfg.channel)
     points = []
-    for gi, rate in enumerate(grid):
+    for gi, rate in enumerate(cfg.rate_grid):
         point_cfg = replace(cfg, rate=rate, m=None)
         records = _run_batch(point_cfg, (gi,))
         points.append(_aggregate(rate, point_cfg.rows, records))

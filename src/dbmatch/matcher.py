@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArityMismatch, ValidationError
-from .model import Database, Labeling, RepetitionPattern, _read_only
-from .probability import LOG_ZERO, Channel, Pmf, _safe_log2, capacity, entropy
+from .model import Database, Labeling, RepetitionPattern
+from .probability import LOG_ZERO, Channel, Pmf, _read_only, _safe_log2, capacity, entropy
 
 # entries per array of the scan: the score block (live rows x source rows),
 # the one-hot block (source rows x n * k) and a tile's cell tables (rows x

@@ -21,12 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MemoryCapExceeded, ValidationError
-from .probability import Channel, Pmf
+from .probability import ByValue, Channel, Pmf, _read_only
 
 DEFAULT_ENTRY_CAP = 2_000_000_000
-# entries per tile of the noisy view and of non-uniform source sampling:
-# each float64 tile buffer is 256 KiB, so a tile's buffers stay in a
-# core's L2 cache
+# entries per tile of the noisy view, which also draws non-uniform
+# sources: each float64 tile buffer is 256 KiB, so a tile's buffers stay
+# in a core's L2 cache
 _NOISE_TILE_ENTRIES = 1 << 15
 
 
@@ -64,19 +64,11 @@ def trial_seed_sequence(master_seed: int, *indices: int) -> np.random.SeedSequen
     return np.random.SeedSequence(entropy=[master_seed, *indices])
 
 
-def _read_only(values, dtype=None) -> np.ndarray:
-    """A read-only view of values as an array.  The caller's array stays
-    writable (the view sees its later writes), and no entry is copied
-    unless dtype asks for a conversion."""
-    arr = np.asarray(values, dtype=dtype).view()
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Database:
     """A read-only m x columns symbol matrix: the source, or the shuffled
-    noisy repeated view stored flat with no run markers."""
+    noisy repeated view stored flat with no run markers.  Like Labeling and
+    SeedBatch, it holds data and compares by identity, never by value."""
 
     entries: np.ndarray
 
@@ -95,8 +87,10 @@ class Database:
         return int(self.entries.shape[1])
 
 
-@dataclass(frozen=True)
-class RepetitionPattern:
+@dataclass(frozen=True, eq=False)
+class RepetitionPattern(ByValue):
+    """Repetition count of each source column; equal and hashed by value."""
+
     counts: np.ndarray  # length n, nonnegative
 
     def __post_init__(self) -> None:
@@ -118,7 +112,7 @@ class RepetitionPattern:
         return np.flatnonzero(self.counts == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Labeling:
     """Row permutation theta: source row i corresponds to shuffled row theta[i]."""
 
@@ -146,7 +140,7 @@ class Labeling:
         return self._inverse  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedBatch:
     """Aligned row pairs sharing the main pair's repetition pattern."""
 
@@ -193,31 +187,25 @@ def _uniform_symbols(k: int, shape: tuple[int, ...], rng: np.random.Generator) -
     return out.reshape(shape)
 
 
-def _sample_symbols(p: Pmf, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+def _sample_symbols(p: Pmf, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """I.i.d. symbols from p, uint8 output.
 
     Draw contract: a uniform p over 2**j symbols takes the top j bits of
     each byte of consecutive 32-bit draws, low byte first, four entries
     per draw; this equals Generator.integers(0, 2**j, dtype=np.uint8) on
     numpy 2.4.6.  Other uniform alphabets call Generator.integers, and a
-    one-symbol alphabet draws nothing.  A non-uniform p is sampled by
-    inverse cdf, one float64 uniform per entry, drawn in row-major tiles
-    of _NOISE_TILE_ENTRIES so that no temporary grows with the output."""
+    one-symbol alphabet draws nothing.  A non-uniform p is the noisy view
+    of a constant symbol through a channel whose every row is p, so it
+    keeps _noisy_repeat's draw contract."""
     if p.size > 256:
         raise ValidationError("alphabets above 256 symbols are not supported")
     if np.all(p.probs == p.probs[0]):
         return _uniform_symbols(p.size, shape, rng)
-    cdf = np.cumsum(p.probs)
-    cdf[-1] = 1.0
-    out = np.empty(shape, dtype=np.uint8)
-    flat = out.reshape(-1)
-    # row-major tiles take the draws one-shot sampling would take, in order
-    u = np.empty(min(flat.size, _NOISE_TILE_ENTRIES))
-    for lo in range(0, flat.size, _NOISE_TILE_ENTRIES):
-        hi = min(flat.size, lo + _NOISE_TILE_ENTRIES)
-        rng.random(out=u[: hi - lo])
-        flat[lo:hi] = np.searchsorted(cdf, u[: hi - lo], side="right")
-    return out
+    m, n = shape
+    # every output row reads source row 0, through a zero-stride index
+    rows = np.broadcast_to(np.intp(0), (m,))
+    ch = Channel(np.tile(p.probs, (p.size, 1)))
+    return _noisy_repeat(np.zeros((1, 1), np.uint8), RepetitionPattern([n]), ch, rng, rows)
 
 
 def generate_unlabeled(
@@ -257,17 +245,21 @@ def _noisy_repeat(
 
     Output row i derives from source row rows[i] (source row i when rows
     is None), and every entry of rows must index a source row.
-    Reproducibility contract, for every alphabet: one float64 uniform per
-    output entry, drawn row-major over the output, mapped through the
-    inverse cdf of the channel row of its source symbol (the output is the
-    number of cdf values at or below the draw).  A float64 uniform takes
-    one 64-bit draw, so the output and the generator's final state do not
-    depend on how the rows are tiled.  The work runs in tiles of about
-    _NOISE_TILE_ENTRIES entries whose buffers are allocated once per call.
-    A two-symbol channel has one threshold per source symbol, so each
-    entry selects between its two comparisons instead of gathering a
+    Draw contract, for every alphabet and for the non-uniform source
+    sampler too (a source is the view of a constant symbol): one float64
+    uniform u per output entry, drawn row-major over the output; the entry
+    is the number of cumulative sums of its source symbol's channel row,
+    the last left out, at or below u.  That equals searchsorted(cdf, u,
+    side="right") with the cdf's last value set to 1.  A float64 uniform
+    takes one 64-bit draw, so the output and the generator's final state
+    do not depend on how the rows are tiled.  The work runs in tiles of
+    about _NOISE_TILE_ENTRIES entries whose buffers are allocated once per
+    call.  A two-symbol channel has one threshold per source symbol, so
+    each entry selects between its two comparisons instead of gathering a
     threshold per entry.
     """
+    if ch.size > 256:
+        raise ValidationError("alphabets above 256 symbols are not supported")
     if rows is None:
         rows = np.arange(source.shape[0])
     m = rows.shape[0]

@@ -25,6 +25,15 @@ IDENTITY_TOL = 1e-10
 LOG_ZERO = -1.0e18
 
 
+def _read_only(values, dtype=None) -> np.ndarray:
+    """A read-only view of values as an array.  The caller's array stays
+    writable (the view sees its later writes), and no entry is copied
+    unless dtype asks for a conversion."""
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_prob_vector(values, name: str) -> np.ndarray:
     """A read-only copy of values, checked to be a probability vector."""
     arr = np.array(values, dtype=float)
@@ -37,17 +46,27 @@ def _as_prob_vector(values, name: str) -> np.ndarray:
     total = float(arr.sum())
     if abs(total - 1.0) > PMF_TOL:
         raise ValidationError(f"{name} sums to {total!r}, expected 1 within {PMF_TOL}")
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
-def _value_key(arr: np.ndarray) -> tuple:
-    """An array's shape and bytes: equal keys mean equal values."""
-    return arr.shape, arr.tobytes()
+class ByValue:
+    """Base of a frozen dataclass, declared eq=False, whose one instance
+    attribute is an array of a dtype fixed by the class: two instances are
+    equal when they have one type and equal arrays, and hash alike."""
+
+    def _key(self) -> tuple:
+        (arr,) = vars(self).values()
+        return arr.shape, arr.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Pmf:
+@dataclass(frozen=True, eq=False)
+class Pmf(ByValue):
     """Probability mass function over symbols 0..k-1; equal and hashed by value."""
 
     probs: np.ndarray
@@ -62,12 +81,6 @@ class Pmf:
     def __getitem__(self, symbol: int) -> float:
         return float(self.probs[symbol])
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Pmf and _value_key(self.probs) == _value_key(other.probs)
-
-    def __hash__(self) -> int:
-        return hash(_value_key(self.probs))
-
     @staticmethod
     def uniform(k: int) -> "Pmf":
         if k < 1:
@@ -75,8 +88,8 @@ class Pmf:
         return Pmf(np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True)
-class Channel:
+@dataclass(frozen=True, eq=False)
+class Channel(ByValue):
     """Conditional law rows[x][y] = P(Y=y | X=x) on a shared alphabet;
     equal and hashed by value."""
 
@@ -88,18 +101,11 @@ class Channel:
             raise ValidationError("channel must be a square matrix")
         for x in range(arr.shape[0]):
             _as_prob_vector(arr[x], f"channel row {x}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _read_only(arr))
 
     @property
     def size(self) -> int:
         return int(self.rows.shape[0])
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Channel and _value_key(self.rows) == _value_key(other.rows)
-
-    def __hash__(self) -> int:
-        return hash(_value_key(self.rows))
 
     @staticmethod
     def identity(k: int) -> "Channel":
@@ -118,21 +124,20 @@ class Channel:
         return Channel(rows)
 
 
-@dataclass(frozen=True)
-class SymbolMap:
-    """Bijective relabeling of the alphabet; map[y] is the new symbol for y."""
+@dataclass(frozen=True, eq=False)
+class SymbolMap(ByValue):
+    """Bijective relabeling of the alphabet; map[y] is the new symbol for y;
+    equal and hashed by value."""
 
     map: np.ndarray
 
     def __init__(self, mapping) -> None:
-        arr = np.asarray(mapping, dtype=np.int64)
+        arr = np.array(mapping, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("symbol map must be a 1-d vector")
         if sorted(arr.tolist()) != list(range(arr.size)):
             raise ValidationError("symbol map must be a permutation of 0..k-1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "map", arr)
+        object.__setattr__(self, "map", _read_only(arr))
 
     @property
     def size(self) -> int:

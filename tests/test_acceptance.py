@@ -253,9 +253,10 @@ def test_criterion_5_threshold_behavior():
             "trials": 50,
             "masterSeed": 2024,
             "matchRows": 40,
+            "rateGrid": grid,
         }
     )
-    sweep = run_sweep(cfg_b, grid)
+    sweep = run_sweep(cfg_b)
     means = [p.mean_error_rate for p in sweep.points]
     mean_above = sweep.points[-1].mean_error_rate
 

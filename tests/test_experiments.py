@@ -260,12 +260,12 @@ def test_trial_peak_memory_within_stated_bound(overrides):
 
 def test_sweep_empty_grid_rejected():
     with pytest.raises(ValidationError):
-        run_sweep(make_config(), [])
+        run_sweep(make_config())
 
 
 def test_sweep_single_point_matches_trial_aggregation(capsys):
-    cfg = make_config(trials=5, n=16)
-    result = run_sweep(cfg, [0.2])
+    cfg = make_config(trials=5, n=16, rateGrid=[0.2])
+    result = run_sweep(cfg)
     point = result.points[0]
     ok = [r for r in point.records if not r.failed]
     assert point.mean_error_rate == pytest.approx(
@@ -277,8 +277,8 @@ def test_sweep_single_point_matches_trial_aggregation(capsys):
 
 def test_sweep_infrastructure_excluded_from_means():
     # an independent channel fails every trial; failures must not pollute means
-    cfg = make_config(trials=6, n=18, channel=[[0.5, 0.5], [0.5, 0.5]])
-    result = run_sweep(cfg, [0.2])
+    cfg = make_config(trials=6, n=18, channel=[[0.5, 0.5], [0.5, 0.5]], rateGrid=[0.2])
+    result = run_sweep(cfg)
     point = result.points[0]
     failed = [r for r in point.records if r.failed]
     assert failed, "expected failed trials in this setup"
@@ -292,9 +292,9 @@ def test_sweep_infrastructure_excluded_from_means():
 
 
 def test_sweep_csv_shape_and_determinism():
-    cfg = make_config(trials=3, n=16)
-    r1 = run_sweep(cfg, [0.1, 0.2])
-    r2 = run_sweep(cfg, [0.1, 0.2])
+    cfg = make_config(trials=3, n=16, rateGrid=[0.1, 0.2])
+    r1 = run_sweep(cfg)
+    r2 = run_sweep(cfg)
     c1, c2 = sweep_to_csv(r1), sweep_to_csv(r2)
     assert c1 == c2
     header = c1.splitlines()[0]
@@ -314,9 +314,9 @@ def test_records_csv_contains_failures():
 
 
 def test_threaded_sweep_matches_serial():
-    cfg = make_config(trials=4, n=16)
-    serial = sweep_to_csv(run_sweep(cfg, [0.15]))
-    threaded = sweep_to_csv(run_sweep(make_config(trials=4, n=16, threads=4), [0.15]))
+    cfg = make_config(trials=4, n=16, rateGrid=[0.15])
+    serial = sweep_to_csv(run_sweep(cfg))
+    threaded = sweep_to_csv(run_sweep(replace(cfg, threads=4)))
     assert serial == threaded
 
 

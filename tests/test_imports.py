@@ -1,11 +1,20 @@
 """Tooling: every imported name in the package, the tests and the benchmark
-harness is used (`__init__.py` is skipped: its imports are re-exports), and
-the package imports only numpy and the standard library, so that scipy
-stays a test-only dependency."""
+harness is used (`__init__.py` is skipped: its imports are re-exports), the
+package imports only numpy and the standard library, so that scipy stays a
+test-only dependency, and no dataclass compares its arrays with numpy's ==."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 import sys
+import typing
 from pathlib import Path
+
+import numpy as np
+
+import dbmatch
+from dbmatch.probability import ByValue
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -76,3 +85,60 @@ def test_package_imports_only_numpy_and_the_standard_library():
         if (names := foreign_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def holds_arrays(cls) -> bool:
+    """A dataclass with a field annotated as an array (or an optional one)."""
+    if not dataclasses.is_dataclass(cls):
+        return False
+    hints = typing.get_type_hints(cls)
+    return any(np.ndarray in (t, *typing.get_args(t)) for t in hints.values())
+
+
+def compares_arrays_elementwise(cls) -> bool:
+    """An array dataclass whose == or hash is not object's or ByValue's: a
+    generated __eq__ compares the arrays with numpy's ==, which raises for
+    two distinct instances, and a generated __hash__ raises as an array is
+    unhashable."""
+    return holds_arrays(cls) and (cls.__eq__, cls.__hash__) not in (
+        (object.__eq__, object.__hash__),
+        (ByValue.__eq__, ByValue.__hash__),
+    )
+
+
+def test_elementwise_check_flags_only_generated_array_equality():
+    @dataclasses.dataclass(frozen=True)
+    class Generated:
+        a: np.ndarray | None
+
+    @dataclasses.dataclass(frozen=True)
+    class ByValueWithoutEqFalse(ByValue):
+        a: np.ndarray
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class Identity:
+        a: np.ndarray
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class Value(ByValue):
+        a: np.ndarray
+
+    @dataclasses.dataclass(frozen=True)
+    class NoArray:
+        a: tuple[int, ...]
+
+    cases = (Generated, ByValueWithoutEqFalse, Identity, Value, NoArray)
+    assert [compares_arrays_elementwise(c) for c in cases] == [True, True, False, False, False]
+
+
+def test_no_dataclass_compares_arrays_elementwise():
+    classes = []
+    for info in pkgutil.iter_modules(dbmatch.__path__):
+        module = importlib.import_module(f"dbmatch.{info.name}")
+        classes += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and holds_arrays(obj)
+        ]
+    assert {"Pmf", "Database", "MatchReport"} <= {c.__name__ for c in classes}
+    assert [c.__qualname__ for c in classes if compares_arrays_elementwise(c)] == []

@@ -233,6 +233,37 @@ def test_full_match_memory_is_bounded():
     assert peak < 32e6
 
 
+def test_full_match_memory_per_row_within_stated_term(monkeypatch):
+    # README states up to 42 bytes per matched row at scoring's peak; the
+    # slope between two row counts leaves out every fixed term.  Each view
+    # row is a noiseless copy of one of 64 distinct source rows, so every
+    # row is matched and scored.  A small scan budget keeps the scan's
+    # tiles below its per-row arrays, so its slope is read too.
+    monkeypatch.setattr(matcher, "_SCAN_BLOCK_ENTRIES", 1 << 14)
+    n, p_x, ch, p_s = 64, Pmf.uniform(2), Channel.identity(2), Pmf([0.0, 1.0])
+    params = TypicalityParams.from_components(p_x, ch, p_s)
+    d1 = generate_unlabeled(64, n, p_x, np.random.default_rng(5))
+    assert len({row.tobytes() for row in d1.entries}) == 64
+    s_hat = RepetitionPattern(np.ones(n, dtype=np.int64))
+    peaks = []
+    for m in (100_000, 200_000):
+        d2, lab = Database(d1.entries[np.arange(m) % 64]), Labeling(np.arange(m))
+        tracemalloc.start()
+        try:
+            report = match_all(d1, d2, s_hat, params)
+            scan = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            scored = evaluate(report, lab)
+            score = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.bincount(report.outcomes), [0, m])
+        assert scored.error_rate == (m - 64) / m
+        peaks.append((scan, score))
+    slopes = [(big - small) / 100_000 for small, big in zip(*peaks)]
+    assert max(slopes) <= 42, slopes
+
+
 def test_match_single_row():
     st = substreams(1)
     d1 = generate_unlabeled(1, 80, P_X, st.database)

@@ -20,7 +20,7 @@ from dbmatch.model import (
     substreams,
     trial_seed_sequence,
 )
-from dbmatch.probability import Channel, Pmf, SymbolMap
+from dbmatch.probability import Channel, Pmf, SymbolMap, pipeline_scalars
 from oracles import naive_noisy_view, naive_sample_symbols, naive_uniform_symbols
 
 
@@ -55,7 +55,11 @@ def test_tiled_sampler_matches_one_shot():
     # two full tiles and a partial third
     tile = model._NOISE_TILE_ENTRIES
     assert 2 * tile < 1093 * 61 < 3 * tile and (1093 * 61) % tile
-    for p in (Pmf([0.2, 0.3, 0.5]), Pmf([0.9, 0.1]), Pmf([0.5, 0.0, 0.25, 0.25])):
+    weights = np.random.default_rng(39).random(256)
+    pmfs = [Pmf([0.2, 0.3, 0.5]), Pmf([0.9, 0.1]), Pmf([0.5, 0.0, 0.25, 0.25])]
+    # 256 symbols, and a cdf that passes 1.0 before its last symbol
+    pmfs += [Pmf(weights / weights.sum()), Pmf([0.5, 0.5 + 1e-13, 0.0])]
+    for p in pmfs:
         for shape in ((0, 60), (7, 0), (0, 0), (7, 3), (1, tile), (1093, 61)):
             rng, ref = np.random.default_rng(40), np.random.default_rng(40)
             got = model._sample_symbols(p, shape, rng)
@@ -115,7 +119,8 @@ def test_non_uniform_source_memory_is_one_byte_per_entry():
     finally:
         tracemalloc.stop()
     assert d1.entries.shape == (m, n)
-    # a tile takes a float64 uniform and an intp index per entry
+    # a tile takes a float64 uniform, an intp symbol, a float64 threshold
+    # and a bool per entry
     assert peak < 1.1 * m * n + 16 * model._NOISE_TILE_ENTRIES
 
 
@@ -378,6 +383,17 @@ def test_view_rejects_symbols_outside_channel():
         )
 
 
+def test_view_and_seeds_refuse_alphabets_above_256():
+    # the view is uint8: a 300-symbol channel would wrap symbol 299 to 43
+    ch = Channel.identity(300)
+    pattern = RepetitionPattern(np.ones(3, dtype=np.int64))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="above 256"):
+        apply_repetition_noise(Database(np.array([[299, 256, 5]])), pattern, Labeling([0]), ch, rng)
+    with pytest.raises(ValidationError, match="above 256"):
+        generate_seeds(2, 3, Pmf.uniform(2), pattern, ch, rng)
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int8])
 @pytest.mark.parametrize(
     "ch", [Channel.symmetric(2, 0.1), Channel.symmetric(3, 0.1)], ids=["bsc", "k3"]
@@ -441,6 +457,28 @@ def test_value_types_leave_the_callers_array_writable():
         assert arr.flags.writeable
         assert not out.flags.writeable
         assert np.shares_memory(out, arr) != copied
+
+
+# each maker builds a new instance of the same content on every call; the
+# first three compare by value, the rest, which hold data, by identity
+VALUE_TYPES = {
+    "SymbolMap": (lambda: SymbolMap([1, 0, 2]), True),
+    "Scalars": (lambda: pipeline_scalars(Pmf.uniform(2), Channel.symmetric(2, 0.1)), True),
+    "RepetitionPattern": (lambda: RepetitionPattern(np.array([2, 0, 1])), True),
+    "Database": (lambda: Database(np.zeros((2, 3), np.uint8)), False),
+    "Labeling": (lambda: Labeling(np.array([1, 2, 0])), False),
+    "SeedBatch": (lambda: SeedBatch(np.zeros((2, 3), np.uint8), np.zeros((2, 1), np.uint8)), False),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_compare_and_hash_without_raising(name):
+    make, by_value = VALUE_TYPES[name]
+    a, b = make(), make()
+    assert a == a and a in [a]
+    assert (a == b) is by_value and (a != b) is not by_value
+    assert (b in [a]) is by_value
+    assert len({a, b}) == (1 if by_value else 2)
 
 
 def test_noiseless_seeds_repeat_source_columns():
