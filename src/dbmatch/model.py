@@ -14,6 +14,7 @@ across threads; generation itself draws from the caller's Generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,10 +25,13 @@ from .errors import MemoryCapExceeded, ValidationError
 from .probability import ByValue, Channel, Pmf, _read_only
 
 DEFAULT_ENTRY_CAP = 2_000_000_000
-# entries per tile of the noisy view, which also draws non-uniform
-# sources: each float64 tile buffer is 256 KiB, so a tile's buffers stay
-# in a core's L2 cache
-_NOISE_TILE_ENTRIES = 1 << 15
+# entries per block of the noisy view, which also draws non-uniform
+# sources; the block size is part of the view's draw contract.  A block's
+# buffers, at most 10 bytes per entry besides its source rows, stay in a
+# core's L2 cache.
+_NOISE_BLOCK_ENTRIES = 1 << 16
+# rows per slice in which a labeling writes its inverse
+_INVERSE_SLICE = 1 << 16
 
 
 class Substreams(NamedTuple):
@@ -123,9 +127,13 @@ class Labeling:
         message = "labeling must be a permutation of 0..m-1"
         if arr.ndim != 1 or arr.size < 1 or arr.min() < 0 or arr.max() >= arr.size:
             raise ValidationError(message)
-        # entries lie in 0..m-1, so a repeated one leaves some slot unfilled
+        # entries lie in 0..m-1, so a repeated one leaves some slot unfilled;
+        # the inverse is written a slice at a time, so its row index stays
+        # small beside the 16 bytes per row that the two arrays hold
         inv = np.full(arr.size, -1, dtype=np.int64)
-        inv[arr] = np.arange(arr.size)
+        for lo in range(0, arr.size, _INVERSE_SLICE):
+            hi = min(arr.size, lo + _INVERSE_SLICE)
+            inv[arr[lo:hi]] = np.arange(lo, hi)
         if inv.min() < 0:
             raise ValidationError(message)
         object.__setattr__(self, "perm", arr)
@@ -234,6 +242,46 @@ def sample_labeling(m: int, rng: np.random.Generator) -> Labeling:
     return Labeling(rng.permutation(m))
 
 
+class _DrawTables(NamedTuple):
+    """A channel's thresholds in the form _noisy_repeat's draws read them;
+    T[x, c] is defined in its docstring, and every array is read-only."""
+
+    top: np.ndarray  # k x (k - 1): min(T >> 45, 255), uint8
+    rest: np.ndarray  # k x (k - 1): T - (top << 45), uint64
+    # at (x << 8) | byte: how many thresholds the byte alone passes, and
+    # whether the byte opens the entry
+    fired: np.ndarray
+    opens: np.ndarray
+    # T[x, c] + x * 2**53, flat and increasing: an open entry's w + x * 2**53
+    # passes x * (k - 1) entries of the other symbols before its own
+    keyed: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _draw_tables(ch: Channel) -> _DrawTables:
+    """Memoized: the tables depend on the channel's value alone."""
+    k = ch.size
+    # w < 2**53 never reaches a threshold at 2**53 or above (a cdf prefix
+    # may round above 1), so capping T there changes no output
+    t = np.cumsum(ch.rows, axis=1)[:, :-1]
+    thresholds = np.minimum(np.ceil(t * 2.0**53), 2.0**53).astype(np.int64)
+    top = np.minimum(thresholds >> 45, 255)
+    symbol = np.arange(k)[:, None]
+    hits = np.bincount((symbol * 256 + top).ravel(), minlength=k * 256).reshape(k, 256)
+    return _DrawTables(
+        *map(
+            _read_only,
+            (
+                top.astype(np.uint8),
+                (thresholds - (top << 45)).astype(np.uint64),
+                (np.cumsum(hits, axis=1) - hits).astype(np.uint8).ravel(),
+                (hits > 0).ravel(),
+                (thresholds + (symbol << 53)).ravel(),
+            ),
+        )
+    )
+
+
 def _noisy_repeat(
     source: np.ndarray,
     pattern: RepetitionPattern,
@@ -245,18 +293,25 @@ def _noisy_repeat(
 
     Output row i derives from source row rows[i] (source row i when rows
     is None), and every entry of rows must index a source row.
+
     Draw contract, for every alphabet and for the non-uniform source
-    sampler too (a source is the view of a constant symbol): one float64
-    uniform u per output entry, drawn row-major over the output; the entry
-    is the number of cumulative sums of its source symbol's channel row,
-    the last left out, at or below u.  That equals searchsorted(cdf, u,
-    side="right") with the cdf's last value set to 1.  A float64 uniform
-    takes one 64-bit draw, so the output and the generator's final state
-    do not depend on how the rows are tiled.  The work runs in tiles of
-    about _NOISE_TILE_ENTRIES entries whose buffers are allocated once per
-    call.  A two-symbol channel has one threshold per source symbol, so
-    each entry selects between its two comparisons instead of gathering a
-    threshold per entry.
+    sampler too (a source is the view of a constant symbol).  An entry
+    with source symbol x is y = #{c : w >= T[x, c]}, where w is a uniform
+    53-bit integer and T[x, c] = ceil(t * 2**53) for the cumulative sum
+    t = P(Y <= c | X = x), c < k - 1.  That is the law of
+    searchsorted(cdf, u, side="right") for a float64 uniform u.  w is
+    drawn a byte first:
+    - The output is walked in blocks of max(1, 2**16 // K) rows, K being
+      its column count.  A block of r rows first takes ceil(r * K / 8)
+      words from rng.bit_generator.random_raw and gives its entries, in
+      row-major order, one byte each, low byte first.  The byte is w's
+      top 8 bits.
+    - An entry is open where its byte equals the top byte
+      min(T[x, c] >> 45, 255) of one of its thresholds.  Elsewhere the
+      byte alone settles every comparison.  Each open entry of the block,
+      in row-major order, then takes one more word, whose top 45 bits
+      are w's low bits.
+    - A one-symbol channel draws nothing.
     """
     if ch.size > 256:
         raise ValidationError("alphabets above 256 symbols are not supported")
@@ -273,52 +328,60 @@ def _noisy_repeat(
     # an unsigned source, as the samplers draw, cannot hold a negative symbol
     if source.dtype.kind != "u" and int(source.min()) < 0:
         raise ValidationError("source symbols must be nonnegative")
+    if k == 1:
+        out.fill(0)
+        return out
     # symbols lie below the alphabet size, so they fit the output's type
     source = source.astype(np.uint8, copy=False)
     col_of = np.repeat(np.arange(pattern.n), pattern.counts)
-    # thresholds[c][x] = P(Y <= c | X = x); the last cdf value is 1 and no
-    # draw reaches it, so k-1 thresholds decide the output
-    thresholds = np.ascontiguousarray(np.cumsum(ch.rows, axis=1)[:, :-1].T)
-    tile = min(m, max(1, _NOISE_TILE_ENTRIES // k_total))
-    src = np.empty((tile, pattern.n), dtype=np.uint8)
-    u = np.empty((tile, k_total))
+    tables = _draw_tables(ch)
+    bits = rng.bit_generator
+    block = min(m, max(1, _NOISE_BLOCK_ENTRIES // k_total))
+    src = np.empty((block, pattern.n), dtype=np.uint8)
+    opened = np.empty(block * k_total, dtype=bool)
     if k == 2:
-        t0, t1 = thresholds[0]
-        hit0 = np.empty((tile, k_total), dtype=bool)
-        hit1 = np.empty((tile, k_total), dtype=bool)
-    elif k > 2:
-        x = np.empty((tile, k_total), dtype=np.intp)
-        t = np.empty((tile, k_total))
-        hit = np.empty((tile, k_total), dtype=bool)
-    for lo in range(0, m, tile):
-        hi = min(m, lo + tile)
-        r = hi - lo
-        rng.random(out=u[:r])
-        y = out[lo:hi]
-        if k == 1:
-            y.fill(0)
-            continue
+        # symbol x's top byte is top0 + x * step, mod 256; an open entry's
+        # byte equals it, so w >= T[x, 0] reads as low bits >= rest[x]
+        top0, top1 = tables.top[:, 0].tolist()
+        step = (top1 - top0) % 256
+        rest = tables.rest[:, 0]
+        cut = np.empty(block * k_total, dtype=np.uint8)
+    else:
+        code = np.empty(block * k_total, dtype=np.intp)
+    for lo in range(0, m, block):
+        hi = min(m, lo + block)
+        size = (hi - lo) * k_total
+        words = bits.random_raw(-(-size // 8))
+        # the low byte of each word comes first whatever the machine's byte order
+        first = words.astype("<u8", copy=False).view(np.uint8)[:size]
         # mode="wrap" skips take's buffered bounds check: rows and col_of
         # index the source, and symbols were checked against the alphabet
-        source.take(rows[lo:hi], axis=0, out=src[:r], mode="wrap")
+        source.take(rows[lo:hi], axis=0, out=src[: hi - lo], mode="wrap")
+        y = out[lo:hi]
+        src[: hi - lo].take(col_of, axis=1, out=y, mode="wrap")
+        flat = y.reshape(-1)
+        is_open = opened[:size]
         if k == 2:
-            # y = hit0 where x is 0 and hit1 where x is 1, as
-            # hit0 ^ ((hit0 ^ hit1) & x); x is 0 or 1, so it reads as bool
-            yb = y.view(np.bool_)
-            src[:r].take(col_of, axis=1, out=y, mode="wrap")
-            np.greater_equal(u[:r], t0, out=hit0[:r])
-            np.greater_equal(u[:r], t1, out=hit1[:r])
-            hit1[:r] ^= hit0[:r]
-            yb &= hit1[:r]
-            yb ^= hit0[:r]
-            continue
-        x[:r] = src[:r, col_of]
-        thresholds[0].take(x[:r], out=t[:r], mode="wrap")
-        np.greater_equal(u[:r], t[:r], out=y.view(np.bool_))
-        for c in range(1, thresholds.shape[0]):
-            thresholds[c].take(x[:r], out=t[:r], mode="wrap")
-            np.greater_equal(u[:r], t[:r], out=hit[:r])
-            y += hit[:r]
+            c = cut[:size]
+            np.multiply(flat, step, out=c)
+            c += top0
+            np.equal(first, c, out=is_open)
+            at = is_open.nonzero()[0]
+            x = flat[at]
+            np.greater(first, c, out=flat.view(np.bool_))
+            flat[at] = (bits.random_raw(at.size) >> 19) >= rest[x]
+        else:
+            # the tables read (x << 8) | byte, and an open entry searches
+            # every symbol's thresholds for w + x * 2**53
+            xb = code[:size]
+            np.left_shift(flat, 8, out=xb, dtype=np.intp)
+            xb |= first
+            tables.fired.take(xb, out=flat, mode="wrap")
+            tables.opens.take(xb, out=is_open, mode="wrap")
+            at = is_open.nonzero()[0]
+            xb_open = xb[at]
+            w = (xb_open << 45) | (bits.random_raw(at.size) >> 19).view(np.int64)
+            flat[at] = np.searchsorted(tables.keyed, w, side="right") - (xb_open >> 8) * (k - 1)
     return out
 
 

@@ -3,6 +3,7 @@ are pinned against; shared by the unit and acceptance tests."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,11 +32,10 @@ def naive_consecutive_hamming(entries):
 
 
 def naive_sample_symbols(probs, shape, rng):
-    """One-shot inverse-cdf sampling: every float64 uniform drawn at once,
-    then counted against the cdf; uint8 output."""
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.uint8)
+    """Non-uniform source symbols, uint8: the byte-first draws of
+    naive_noisy_view for a constant source symbol whose channel row is
+    probs."""
+    return _byte_first_draws(np.zeros(shape, dtype=np.int64), [list(probs)], rng)
 
 
 def naive_uniform_symbols(k, shape, rng):
@@ -44,17 +44,49 @@ def naive_uniform_symbols(k, shape, rng):
 
 
 def naive_noisy_view(source, rows, counts, ch, rng):
-    """Slow oracle for the noisy view: one rng.random((m, K)) draw, then
-    each entry is searchsorted(cdf[x], u, side="right") for its source
-    symbol x, with output row i taken from source row rows[i]."""
-    x = source[rows][:, np.repeat(np.arange(len(counts)), counts)]
-    cdf = np.cumsum(ch.rows, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random(x.shape)
-    out = np.zeros(x.shape, dtype=np.uint8)
-    for a in range(ch.size):
-        hit = x == a
-        out[hit] = np.searchsorted(cdf[a], u[hit], side="right")
+    """The noisy view from the byte-first draws, one entry at a time: output
+    row i reads source row rows[i], and source column j is repeated
+    counts[j] times."""
+    x = np.asarray(source)[np.asarray(rows)][:, np.repeat(np.arange(len(counts)), counts)]
+    return _byte_first_draws(x, [list(row) for row in ch.rows], rng)
+
+
+def _byte_first_draws(x, channel_rows, rng):
+    """Per-entry scalar loop in Python ints over rng's raw 64-bit words; the
+    entry at [r, c] has source symbol x[r, c].
+
+    Symbol x's thresholds are T = ceil(t * 2**53) for the cumulative sums t
+    of its channel row, the last left out.  Blocks of max(1, 2**16 // K)
+    rows each take ceil(entries / 8) words, one byte per entry, low byte
+    first; an entry whose byte is the top byte min(T >> 45, 255) of one of
+    its thresholds takes one more word, in row-major order after the
+    block's bytes.  With w = (byte << 45) | (word >> 19), or byte << 45
+    when no word is taken, the entry is #{T : w >= T}."""
+    bits = rng.bit_generator
+    thresholds, tops = [], []
+    for row in channel_rows:
+        total, ts = 0.0, []
+        for p in row[:-1]:
+            total += float(p)
+            ts.append(math.ceil(Fraction(total) * 2**53))
+        thresholds.append(ts)
+        tops.append({min(t >> 45, 255) for t in ts})
+    m, k_total = x.shape
+    xs = x.tolist()
+    out = np.zeros((m, k_total), dtype=np.uint8)
+    if k_total == 0 or len(channel_rows[0]) == 1:
+        return out
+    block = max(1, 2**16 // k_total)
+    for lo in range(0, m, block):
+        entries = [(r, c) for r in range(lo, min(m, lo + block)) for c in range(k_total)]
+        words = [int(v) for v in bits.random_raw(-(-len(entries) // 8))]
+        for e, (r, c) in enumerate(entries):
+            byte = (words[e // 8] >> (8 * (e % 8))) & 0xFF
+            x_rc = xs[r][c]
+            w = byte << 45
+            if byte in tops[x_rc]:
+                w |= int(bits.random_raw()) >> 19
+            out[r, c] = sum(w >= t for t in thresholds[x_rc])
     return out
 
 

@@ -210,7 +210,7 @@ def test_golden_records():
     flags = {"replicaOk": True, "deletionOk": True, "patternOk": True}
     assert records == [
         {"trial": t, **flags, "errorRate": err, "infrastructureFailure": None}
-        for t, err in enumerate([0.8125, 0.3125, 0.09375, 0.21875, 0.3125])
+        for t, err in enumerate([0.96875, 0.28125, 0.09375, 0.1875, 0.25])
     ]
 
 

@@ -51,16 +51,18 @@ def test_entry_cap_guard():
 
 
 def test_tiled_sampler_matches_one_shot():
-    # bit for bit, with the generator left in the same state; 1093 x 61 is
-    # two full tiles and a partial third
-    tile = model._NOISE_TILE_ENTRIES
-    assert 2 * tile < 1093 * 61 < 3 * tile and (1093 * 61) % tile
+    # bit for bit, with the generator left in the same state; 3 x 21846 is
+    # a block of two rows and a partial one of one row, and 2500 x 61 is two
+    # full blocks of 1074 rows and a partial third
+    block = model._NOISE_BLOCK_ENTRIES
+    assert block // 21846 == 2 and block // 61 == 1074
     weights = np.random.default_rng(39).random(256)
     pmfs = [Pmf([0.2, 0.3, 0.5]), Pmf([0.9, 0.1]), Pmf([0.5, 0.0, 0.25, 0.25])]
     # 256 symbols, and a cdf that passes 1.0 before its last symbol
     pmfs += [Pmf(weights / weights.sum()), Pmf([0.5, 0.5 + 1e-13, 0.0])]
-    for p in pmfs:
-        for shape in ((0, 60), (7, 0), (0, 0), (7, 3), (1, tile), (1093, 61)):
+    for i, p in enumerate(pmfs):
+        shapes = [(0, 60), (7, 0), (0, 0), (1, 1), (7, 3)]
+        for shape in shapes + [(3, 21846), (2500, 61)] * (i < 2):
             rng, ref = np.random.default_rng(40), np.random.default_rng(40)
             got = model._sample_symbols(p, shape, rng)
             want = naive_sample_symbols(p.probs, shape, ref)
@@ -119,9 +121,8 @@ def test_non_uniform_source_memory_is_one_byte_per_entry():
     finally:
         tracemalloc.stop()
     assert d1.entries.shape == (m, n)
-    # a tile takes a float64 uniform, an intp symbol, a float64 threshold
-    # and a bool per entry
-    assert peak < 1.1 * m * n + 16 * model._NOISE_TILE_ENTRIES
+    # a block takes a random byte, an intp table index and a bool per entry
+    assert peak < 1.1 * m * n + 16 * model._NOISE_BLOCK_ENTRIES
 
 
 def test_pattern_degenerate_supports():
@@ -158,6 +159,22 @@ def test_labeling_inverse_on_random_permutations():
         lab = Labeling(perm)
         assert lab.inverse.dtype == np.int64
         assert np.array_equal(lab.inverse, np.argsort(perm))
+
+
+def test_labeling_memory_per_row():
+    # the permutation and its inverse hold 16 bytes per row; a transient
+    # row index over all rows made the peak 24.9
+    peaks = []
+    for m in (200_000, 400_000):
+        rng = np.random.default_rng(44)
+        tracemalloc.start()
+        try:
+            lab = sample_labeling(m, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert lab.m == m
+    assert (peaks[1] - peaks[0]) / 200_000 <= 17
 
 
 def test_labeling_refuses_non_permutations_without_counting_entries():
@@ -264,6 +281,28 @@ def test_conditional_law_small_scale():
                 assert abs(hits - p) < 4 * sigma + 1e-4
 
 
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_view_frequencies_follow_the_channel_rows(k):
+    # chi-square of each source symbol's 2**21 outputs against its channel
+    # row; a cell of probability 0 is never hit, and the test is fixed by
+    # its seed, so it either always passes or always fails
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(90 + k)
+    ch = random_channel(k, rng)
+    reps, m = 64, 2**15
+    d1 = Database(np.tile(np.arange(k, dtype=np.uint8), (m, 1)))
+    view = apply_repetition_noise(
+        d1, RepetitionPattern(np.full(k, reps)), Labeling(np.arange(m)), ch, rng
+    )
+    for x in range(k):
+        got = np.bincount(view.entries[:, x * reps : (x + 1) * reps].ravel(), minlength=k)
+        live = ch.rows[x] > 0
+        assert not got[~live].any()
+        expect = ch.rows[x, live] * m * reps
+        chi2 = float(((got[live] - expect) ** 2 / expect).sum())
+        assert stats.chi2.sf(chi2, live.sum() - 1) > 1e-4, (x, chi2)
+
+
 def random_channel(k, rng):
     """A random k x k channel with about 40% zero entries."""
     rows = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
@@ -295,10 +334,8 @@ def assert_noise_matches_oracle(k, m, counts, ch, seed):
 def test_noise_oracle_several_tiles_with_partial_last():
     rng = np.random.default_rng(40)
     counts = rng.integers(0, 4, size=25)
-    k_total = int(counts.sum())
-    tile = max(1, model._NOISE_TILE_ENTRIES // k_total)
-    m = 5 * tile + tile // 2
-    assert_noise_matches_oracle(3, m, counts, random_channel(3, rng), 41)
+    block = model._NOISE_BLOCK_ENTRIES // int(counts.sum())
+    assert_noise_matches_oracle(3, 2 * block + block // 2, counts, random_channel(3, rng), 41)
 
 
 def test_noise_oracle_edge_shapes():
@@ -307,24 +344,25 @@ def test_noise_oracle_edge_shapes():
     assert_noise_matches_oracle(4, 1, [2, 0, 1, 3], ch, 43)  # one row
     empty = assert_noise_matches_oracle(4, 30, [0, 0, 0], ch, 44)  # K = 0
     assert empty.shape == (30, 0)
-    # K above any tile size: every tile holds one row
-    wide = [40_000, 0, 30_001]
-    assert sum(wide) > model._NOISE_TILE_ENTRIES
+    # K above half a block: every block holds one row
+    wide = [20_000, 0, 15_001]
+    assert model._NOISE_BLOCK_ENTRIES // sum(wide) == 1
     assert_noise_matches_oracle(4, 3, wide, ch, 45)
 
 
 def test_noise_oracle_alphabets_with_zero_rows():
     rng = np.random.default_rng(46)
-    for k in range(2, 9):
-        for rep in range(3):
+    for k in (*range(2, 9), 256):
+        for rep in range(3 if k < 256 else 1):
             n = int(rng.integers(1, 12))
             counts = rng.integers(0, 4, size=n)
-            m = int(rng.integers(1, 400))
+            m = int(rng.integers(1, 400 if k < 256 else 40))
             assert_noise_matches_oracle(k, m, counts, random_channel(k, rng), 100 * k + rep)
 
 
 # two-symbol channels select between two comparisons per entry; their
-# thresholds P(Y = 0 | X = 0) and P(Y = 0 | X = 1) come in either order
+# thresholds P(Y = 0 | X = 0) and P(Y = 0 | X = 1) come in either order,
+# and a threshold of exactly 0 or 1 opens entries whose outcome is fixed
 TWO_SYMBOL_CHANNELS = [
     Channel.symmetric(2, 0.42),
     Channel([[1.0, 0.0], [0.3, 0.7]]),  # Z-channel: thresholds 1 > 0.3
@@ -338,23 +376,66 @@ TWO_SYMBOL_CHANNELS = [
 def test_noise_oracle_two_symbol_channels(ch):
     rng = np.random.default_rng(49)
     counts = rng.integers(0, 4, size=25)
-    tile = max(1, model._NOISE_TILE_ENTRIES // int(counts.sum()))
-    # several tiles with a partial last, one row, K = 0, K above one tile
-    assert_noise_matches_oracle(2, 3 * tile + tile // 3, counts, ch, 50)
+    block = model._NOISE_BLOCK_ENTRIES // int(counts.sum())
+    # a full block and a partial one, one row, K = 0
+    assert_noise_matches_oracle(2, block + block // 3, counts, ch, 50)
     assert_noise_matches_oracle(2, 1, [2, 0, 1, 3], ch, 51)
     empty = assert_noise_matches_oracle(2, 30, [0, 0, 0], ch, 52)
     assert empty.shape == (30, 0)
-    assert_noise_matches_oracle(2, 3, [40_000, 0, 30_001], ch, 53)
     for rep in range(5):
         n = int(rng.integers(1, 12))
         m = int(rng.integers(1, 400))
         assert_noise_matches_oracle(2, m, rng.integers(0, 4, size=n), ch, 60 + rep)
 
 
+# thresholds of exactly 0 and 1, repeated thresholds from zero entries, and
+# a cdf prefix that rounds above 1
+EDGE_CHANNELS = [
+    Channel.identity(3),
+    Channel([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+    Channel([[0.5, 0.5 + 1e-13, 0.0], [0.0, 0.5, 0.5], [0.25, 0.0, 0.75]]),
+    Channel.identity(8),
+]
+
+
+@pytest.mark.parametrize("ch", EDGE_CHANNELS, ids=["identity3", "shift3", "over-one", "identity8"])
+def test_noise_oracle_edge_thresholds(ch):
+    assert_noise_matches_oracle(ch.size, 300, [2, 0, 1, 3], ch, 55)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_entry_on_its_threshold_takes_the_upper_symbol(k):
+    # u >= t passes a threshold that u equals, so w = T[x, c] must too.  A
+    # one-entry view takes the first word's low byte, and, once the byte
+    # opens the entry, the second word's top 45 bits: set t to that w.
+    words = np.random.default_rng(70).bit_generator.random_raw(2)
+    w = (int(words[0]) & 0xFF) << 45 | int(words[1]) >> 19
+    t = w / 2**53  # exact, as w < 2**53
+    rows = np.full((k, k), 1 / k)
+    rows[0] = [t, *[(1 - t) / (k - 1)] * (k - 1)]
+    rng = np.random.default_rng(70)
+    view = apply_repetition_noise(
+        Database(np.zeros((1, 1), np.uint8)), RepetitionPattern([1]), Labeling([0]),
+        Channel(rows), rng,
+    )
+    assert view.entries.tolist() == [[1]]
+    ref = np.random.default_rng(70)
+    ref.bit_generator.random_raw(2)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_noise_oracle_one_symbol_channel():
     out = assert_noise_matches_oracle(1, 50, [1, 2, 0, 3], Channel.identity(1), 47)
     assert out.shape == (50, 6)
     assert not out.any()
+    # the view and the seeds of a one-symbol channel draw nothing
+    rng = np.random.default_rng(47)
+    before = rng.bit_generator.state
+    pattern = RepetitionPattern([1, 2, 0, 3])
+    d1 = Database(np.zeros((50, 4), np.uint8))
+    apply_repetition_noise(d1, pattern, Labeling(np.arange(50)), Channel.identity(1), rng)
+    generate_seeds(50, 4, Pmf.uniform(1), pattern, Channel.identity(1), rng)
+    assert rng.bit_generator.state == before
 
 
 def test_view_and_seeds_honour_entry_cap():
