@@ -259,7 +259,8 @@ class _DrawTables(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _draw_tables(ch: Channel) -> _DrawTables:
-    """Memoized: the tables depend on the channel's value alone."""
+    """Memoized: the tables depend on the channel's value alone, and
+    building them (about 25 us) would cost as much as a 256-row view."""
     k = ch.size
     # w < 2**53 never reaches a threshold at 2**53 or above (a cdf prefix
     # may round above 1), so capping T there changes no output
@@ -301,11 +302,12 @@ def _noisy_repeat(
     t = P(Y <= c | X = x), c < k - 1.  That is the law of
     searchsorted(cdf, u, side="right") for a float64 uniform u.  w is
     drawn a byte first:
+    - A word is a uniform 64-bit draw, as rng.integers(0, 2**64,
+      dtype=np.uint64) takes it: one next_uint64 of rng's bit generator.
     - The output is walked in blocks of max(1, 2**16 // K) rows, K being
       its column count.  A block of r rows first takes ceil(r * K / 8)
-      words from rng.bit_generator.random_raw and gives its entries, in
-      row-major order, one byte each, low byte first.  The byte is w's
-      top 8 bits.
+      words and gives its entries, in row-major order, one byte each, low
+      byte first.  The byte is w's top 8 bits.
     - An entry is open where its byte equals the top byte
       min(T[x, c] >> 45, 255) of one of its thresholds.  Elsewhere the
       byte alone settles every comparison.  Each open entry of the block,
@@ -335,13 +337,21 @@ def _noisy_repeat(
     source = source.astype(np.uint8, copy=False)
     col_of = np.repeat(np.arange(pattern.n), pattern.counts)
     tables = _draw_tables(ch)
-    bits = rng.bit_generator
+    # PCG64's raw outputs are its next_uint64 words, so random_raw takes
+    # them without integers' 4 us per call; a 32-bit generator's raw
+    # outputs leave the upper half of each word zero
+    if type(rng.bit_generator) is np.random.PCG64:
+        draw = rng.bit_generator.random_raw
+    else:
+        draw = functools.partial(rng.integers, 0, 2**64, dtype=np.uint64)
     block = min(m, max(1, _NOISE_BLOCK_ENTRIES // k_total))
     src = np.empty((block, pattern.n), dtype=np.uint8)
     opened = np.empty(block * k_total, dtype=bool)
     if k == 2:
         # symbol x's top byte is top0 + x * step, mod 256; an open entry's
-        # byte equals it, so w >= T[x, 0] reads as low bits >= rest[x]
+        # byte equals it, so w >= T[x, 0] reads as low bits >= rest[x].
+        # Byte compares skip the tables' 8-byte index per entry, which
+        # makes this path about twice as fast as theirs on a binary view.
         top0, top1 = tables.top[:, 0].tolist()
         step = (top1 - top0) % 256
         rest = tables.rest[:, 0]
@@ -351,7 +361,7 @@ def _noisy_repeat(
     for lo in range(0, m, block):
         hi = min(m, lo + block)
         size = (hi - lo) * k_total
-        words = bits.random_raw(-(-size // 8))
+        words = draw(-(-size // 8))
         # the low byte of each word comes first whatever the machine's byte order
         first = words.astype("<u8", copy=False).view(np.uint8)[:size]
         # mode="wrap" skips take's buffered bounds check: rows and col_of
@@ -369,7 +379,7 @@ def _noisy_repeat(
             at = is_open.nonzero()[0]
             x = flat[at]
             np.greater(first, c, out=flat.view(np.bool_))
-            flat[at] = (bits.random_raw(at.size) >> 19) >= rest[x]
+            flat[at] = (draw(at.size) >> 19) >= rest[x]
         else:
             # the tables read (x << 8) | byte, and an open entry searches
             # every symbol's thresholds for w + x * 2**53
@@ -380,7 +390,7 @@ def _noisy_repeat(
             tables.opens.take(xb, out=is_open, mode="wrap")
             at = is_open.nonzero()[0]
             xb_open = xb[at]
-            w = (xb_open << 45) | (bits.random_raw(at.size) >> 19).view(np.int64)
+            w = (xb_open << 45) | (draw(at.size) >> 19).view(np.int64)
             flat[at] = np.searchsorted(tables.keyed, w, side="right") - (xb_open >> 8) * (k - 1)
     return out
 

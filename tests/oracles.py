@@ -1,6 +1,7 @@
 """Slow, independent reference implementations that the fast library paths
 are pinned against; shared by the unit and acceptance tests."""
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -52,8 +53,8 @@ def naive_noisy_view(source, rows, counts, ch, rng):
 
 
 def _byte_first_draws(x, channel_rows, rng):
-    """Per-entry scalar loop in Python ints over rng's raw 64-bit words; the
-    entry at [r, c] has source symbol x[r, c].
+    """Per-entry scalar loop in Python ints over uniform 64-bit words from
+    rng.integers; the entry at [r, c] has source symbol x[r, c].
 
     Symbol x's thresholds are T = ceil(t * 2**53) for the cumulative sums t
     of its channel row, the last left out.  Blocks of max(1, 2**16 // K)
@@ -61,8 +62,12 @@ def _byte_first_draws(x, channel_rows, rng):
     first; an entry whose byte is the top byte min(T >> 45, 255) of one of
     its thresholds takes one more word, in row-major order after the
     block's bytes.  With w = (byte << 45) | (word >> 19), or byte << 45
-    when no word is taken, the entry is #{T : w >= T}."""
-    bits = rng.bit_generator
+    when no word is taken, the entry is #{T : w >= T}, counted by bisection
+    as T is nondecreasing."""
+
+    def words(count):
+        return [int(v) for v in rng.integers(0, 2**64, size=count, dtype=np.uint64)]
+
     thresholds, tops = [], []
     for row in channel_rows:
         total, ts = 0.0, []
@@ -79,14 +84,14 @@ def _byte_first_draws(x, channel_rows, rng):
     block = max(1, 2**16 // k_total)
     for lo in range(0, m, block):
         entries = [(r, c) for r in range(lo, min(m, lo + block)) for c in range(k_total)]
-        words = [int(v) for v in bits.random_raw(-(-len(entries) // 8))]
+        first = words(-(-len(entries) // 8))
         for e, (r, c) in enumerate(entries):
-            byte = (words[e // 8] >> (8 * (e % 8))) & 0xFF
+            byte = (first[e // 8] >> (8 * (e % 8))) & 0xFF
             x_rc = xs[r][c]
             w = byte << 45
             if byte in tops[x_rc]:
-                w |= int(bits.random_raw()) >> 19
-            out[r, c] = sum(w >= t for t in thresholds[x_rc])
+                w |= words(1)[0] >> 19
+            out[r, c] = bisect.bisect_right(thresholds[x_rc], w)
     return out
 
 

@@ -51,18 +51,17 @@ def test_entry_cap_guard():
 
 
 def test_tiled_sampler_matches_one_shot():
-    # bit for bit, with the generator left in the same state; 3 x 21846 is
-    # a block of two rows and a partial one of one row, and 2500 x 61 is two
-    # full blocks of 1074 rows and a partial third
+    # bit for bit, with the generator left in the same state; 1 x block is
+    # one full block, 3 x 21846 a block of two rows and a partial one of one
+    # row, and 2500 x 61 two full blocks of 1074 rows and a partial third
     block = model._NOISE_BLOCK_ENTRIES
     assert block // 21846 == 2 and block // 61 == 1074
     weights = np.random.default_rng(39).random(256)
     pmfs = [Pmf([0.2, 0.3, 0.5]), Pmf([0.9, 0.1]), Pmf([0.5, 0.0, 0.25, 0.25])]
     # 256 symbols, and a cdf that passes 1.0 before its last symbol
     pmfs += [Pmf(weights / weights.sum()), Pmf([0.5, 0.5 + 1e-13, 0.0])]
-    for i, p in enumerate(pmfs):
-        shapes = [(0, 60), (7, 0), (0, 0), (1, 1), (7, 3)]
-        for shape in shapes + [(3, 21846), (2500, 61)] * (i < 2):
+    for p in pmfs:
+        for shape in ((0, 60), (7, 0), (0, 0), (1, 1), (7, 3), (1, block), (3, 21846), (2500, 61)):
             rng, ref = np.random.default_rng(40), np.random.default_rng(40)
             got = model._sample_symbols(p, shape, rng)
             want = naive_sample_symbols(p.probs, shape, ref)
@@ -310,24 +309,30 @@ def random_channel(k, rng):
     return Channel(rows / rows.sum(axis=1, keepdims=True))
 
 
-def assert_noise_matches_oracle(k, m, counts, ch, seed):
+def bit_state(rng):
+    """rng's bit-generator state, comparable with == (MT19937 holds an array)."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: np.asarray(v).tolist() for k, v in state["state"].items()}}
+
+
+def assert_noise_matches_oracle(k, m, counts, ch, seed, bit_generator=np.random.PCG64):
     """The view and the seeds' g2 equal the oracle's, draw for draw."""
     p_x = Pmf.uniform(k)
     pattern = RepetitionPattern(np.asarray(counts, dtype=np.int64))
     setup = np.random.default_rng(seed)
     d1 = generate_unlabeled(m, pattern.n, p_x, setup)
     lab = sample_labeling(m, setup)
-    fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    fast, slow = (np.random.Generator(bit_generator(seed + 1)) for _ in range(2))
     view = apply_repetition_noise(d1, pattern, lab, ch, fast)
     expect = naive_noisy_view(d1.entries, lab.inverse, pattern.counts, ch, slow)
     assert np.array_equal(view.entries, expect)
-    assert fast.bit_generator.state == slow.bit_generator.state
+    assert bit_state(fast) == bit_state(slow)
     # the seed halves come from one stream, g1 first
     seeds = generate_seeds(m, pattern.n, p_x, pattern, ch, fast)
     g1 = generate_unlabeled(m, pattern.n, p_x, slow).entries
     assert np.array_equal(seeds.g1, g1)
     assert np.array_equal(seeds.g2, naive_noisy_view(g1, np.arange(m), pattern.counts, ch, slow))
-    assert fast.bit_generator.state == slow.bit_generator.state
+    assert bit_state(fast) == bit_state(slow)
     return view.entries
 
 
@@ -335,7 +340,7 @@ def test_noise_oracle_several_tiles_with_partial_last():
     rng = np.random.default_rng(40)
     counts = rng.integers(0, 4, size=25)
     block = model._NOISE_BLOCK_ENTRIES // int(counts.sum())
-    assert_noise_matches_oracle(3, 2 * block + block // 2, counts, random_channel(3, rng), 41)
+    assert_noise_matches_oracle(3, 5 * block + block // 2, counts, random_channel(3, rng), 41)
 
 
 def test_noise_oracle_edge_shapes():
@@ -377,15 +382,32 @@ def test_noise_oracle_two_symbol_channels(ch):
     rng = np.random.default_rng(49)
     counts = rng.integers(0, 4, size=25)
     block = model._NOISE_BLOCK_ENTRIES // int(counts.sum())
-    # a full block and a partial one, one row, K = 0
-    assert_noise_matches_oracle(2, block + block // 3, counts, ch, 50)
+    # several blocks with a partial last, one row, K = 0, one row per block
+    assert_noise_matches_oracle(2, 3 * block + block // 3, counts, ch, 50)
     assert_noise_matches_oracle(2, 1, [2, 0, 1, 3], ch, 51)
     empty = assert_noise_matches_oracle(2, 30, [0, 0, 0], ch, 52)
     assert empty.shape == (30, 0)
+    assert_noise_matches_oracle(2, 3, [20_000, 0, 15_001], ch, 53)
     for rep in range(5):
         n = int(rng.integers(1, 12))
         m = int(rng.integers(1, 400))
         assert_noise_matches_oracle(2, m, rng.integers(0, 4, size=n), ch, 60 + rep)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_noise_oracle_32_bit_generator(k):
+    # MT19937's raw outputs fill only the low 32 bits of a word; the view,
+    # the seeds and a non-uniform source still take full 64-bit words
+    rng = np.random.default_rng(56)
+    ch = Channel.symmetric(2, 0.42) if k == 2 else random_channel(3, rng)
+    counts = rng.integers(0, 4, size=25)
+    block = model._NOISE_BLOCK_ENTRIES // int(counts.sum())
+    assert_noise_matches_oracle(k, 2 * block + block // 3, counts, ch, 57, np.random.MT19937)
+    p = Pmf([0.2, 0.3, 0.5]) if k == 3 else Pmf([0.9, 0.1])
+    fast, slow = (np.random.Generator(np.random.MT19937(58)) for _ in range(2))
+    got = model._sample_symbols(p, (2500, 61), fast)
+    assert np.array_equal(got, naive_sample_symbols(p.probs, (2500, 61), slow))
+    assert bit_state(fast) == bit_state(slow)
 
 
 # thresholds of exactly 0 and 1, repeated thresholds from zero entries, and
