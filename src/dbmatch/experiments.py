@@ -82,6 +82,11 @@ class ExperimentConfig:
         for key, rates in (("rate", (self.rate,) if self.m is None else ()), ("rateGrid", self.rate_grid)):
             if any(self.n * r >= _MAX_ROWS_LOG2 for r in rates):
                 raise MemoryCapExceeded(f"{key} must be < {_MAX_ROWS_LOG2 / self.n!r} at n = {self.n}")
+        # so do n**seedOrder seed rows, when seedRows does not override them
+        if self.seed_rows is None and self.seed_order is not None:
+            if self.seed_order * math.log2(self.n) >= _MAX_ROWS_LOG2:
+                bound = _MAX_ROWS_LOG2 / math.log2(self.n)
+                raise MemoryCapExceeded(f"seedOrder must be < {bound!r} at n = {self.n}")
 
     @property
     def rows(self) -> int:

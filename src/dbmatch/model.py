@@ -15,9 +15,8 @@ across threads; generation itself draws from the caller's Generator.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,10 +24,10 @@ from .errors import MemoryCapExceeded, ValidationError
 from .probability import ByValue, Channel, Pmf, _read_only
 
 DEFAULT_ENTRY_CAP = 2_000_000_000
-# entries per block of the noisy view, which also draws non-uniform
-# sources; the block size is part of the view's draw contract.  A block's
-# buffers, at most 10 bytes per entry besides its source rows, stay in a
-# core's L2 cache.
+# entries per block of the noisy view, which also draws every source that
+# is not uniform over 2**j >= 2 symbols; the block size is part of the
+# draw contract of both.  A block's buffers, at most 10 bytes per entry
+# besides its source rows, stay in a core's L2 cache.
 _NOISE_BLOCK_ENTRIES = 1 << 16
 # rows per slice in which a labeling writes its inverse
 _INVERSE_SLICE = 1 << 16
@@ -176,43 +175,46 @@ def _check_entry_budget(rows: int, cols: int, cap: int) -> None:
         )
 
 
-def _uniform_symbols(k: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Uniform symbols on 0..k-1, equal bit for bit, with an equal final
-    generator state, to rng.integers(0, k, size=shape, dtype=np.uint8).
+def _word_source(rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """draw(count) gives count fresh 64-bit words from rng; every source
+    symbol and noisy-view entry this module draws reads them.
 
-    For k = 2**j that method takes one byte of a 32-bit draw per entry, low
-    byte first, and keeps its top j bits, never rejecting; drawing the
-    words at once and shifting their bytes in place does the same work
-    without the per-entry loop.  Other k, and k = 1, which draws nothing,
-    call that method."""
-    if k == 1 or k & (k - 1):
-        return rng.integers(0, k, size=shape, dtype=np.uint8)
-    size = math.prod(shape)
-    words = rng.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
+    Word contract: a word is one next_uint64 of rng's bit generator, as
+    rng.integers(0, 2**64, dtype=np.uint64) takes it, and a reader that
+    takes bytes takes them low byte first (_word_bytes).  PCG64's raw
+    outputs are these words, so random_raw takes them without integers'
+    4 us per call, and like integers it leaves a buffered 32-bit half in
+    place; a 32-bit generator's raw outputs leave the upper half of each
+    word zero, so every other bit generator goes through integers."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        return rng.bit_generator.random_raw
+    return functools.partial(rng.integers, 0, 2**64, dtype=np.uint64)
+
+
+def _word_bytes(draw: Callable[[int], np.ndarray], size: int) -> np.ndarray:
+    """The first size bytes of ceil(size / 8) fresh words, writable."""
     # the low byte of each word comes first whatever the machine's byte order
-    out = words.astype("<u4", copy=False).view(np.uint8)[:size]
-    out >>= 8 - (k.bit_length() - 1)
-    return out.reshape(shape)
+    return draw(-(-size // 8)).astype("<u8", copy=False).view(np.uint8)[:size]
 
 
 def _sample_symbols(p: Pmf, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """I.i.d. symbols from p, uint8 output.
 
-    Draw contract: a uniform p over 2**j symbols takes the top j bits of
-    each byte of consecutive 32-bit draws, low byte first, four entries
-    per draw; this equals Generator.integers(0, 2**j, dtype=np.uint8) on
-    numpy 2.4.6.  Other uniform alphabets call Generator.integers, and a
-    one-symbol alphabet draws nothing.  A non-uniform p is the noisy view
-    of a constant symbol through a channel whose every row is p, so it
-    keeps _noisy_repeat's draw contract."""
+    Draw contract: a uniform p over 2**j >= 2 symbols takes the top j bits
+    of each byte of _word_source's words, low byte first, eight entries
+    per word.  Every other p, a one-symbol alphabet included (it draws
+    nothing), is the noisy view of a constant symbol through a channel
+    whose every row is p, so it keeps _noisy_repeat's draw contract."""
     if p.size > 256:
         raise ValidationError("alphabets above 256 symbols are not supported")
-    if np.all(p.probs == p.probs[0]):
-        return _uniform_symbols(p.size, shape, rng)
-    m, n = shape
+    k, (m, n) = p.size, shape
+    if k > 1 and not k & (k - 1) and np.all(p.probs == p.probs[0]):
+        out = _word_bytes(_word_source(rng), m * n)
+        out >>= 8 - (k.bit_length() - 1)
+        return out.reshape(shape)
     # every output row reads source row 0, through a zero-stride index
     rows = np.broadcast_to(np.intp(0), (m,))
-    ch = Channel(np.tile(p.probs, (p.size, 1)))
+    ch = Channel(np.tile(p.probs, (k, 1)))
     return _noisy_repeat(np.zeros((1, 1), np.uint8), RepetitionPattern([n]), ch, rng, rows)
 
 
@@ -302,8 +304,7 @@ def _noisy_repeat(
     t = P(Y <= c | X = x), c < k - 1.  That is the law of
     searchsorted(cdf, u, side="right") for a float64 uniform u.  w is
     drawn a byte first:
-    - A word is a uniform 64-bit draw, as rng.integers(0, 2**64,
-      dtype=np.uint64) takes it: one next_uint64 of rng's bit generator.
+    - Words come from _word_source, which states their contract.
     - The output is walked in blocks of max(1, 2**16 // K) rows, K being
       its column count.  A block of r rows first takes ceil(r * K / 8)
       words and gives its entries, in row-major order, one byte each, low
@@ -337,13 +338,7 @@ def _noisy_repeat(
     source = source.astype(np.uint8, copy=False)
     col_of = np.repeat(np.arange(pattern.n), pattern.counts)
     tables = _draw_tables(ch)
-    # PCG64's raw outputs are its next_uint64 words, so random_raw takes
-    # them without integers' 4 us per call; a 32-bit generator's raw
-    # outputs leave the upper half of each word zero
-    if type(rng.bit_generator) is np.random.PCG64:
-        draw = rng.bit_generator.random_raw
-    else:
-        draw = functools.partial(rng.integers, 0, 2**64, dtype=np.uint64)
+    draw = _word_source(rng)
     block = min(m, max(1, _NOISE_BLOCK_ENTRIES // k_total))
     src = np.empty((block, pattern.n), dtype=np.uint8)
     opened = np.empty(block * k_total, dtype=bool)
@@ -361,9 +356,7 @@ def _noisy_repeat(
     for lo in range(0, m, block):
         hi = min(m, lo + block)
         size = (hi - lo) * k_total
-        words = draw(-(-size // 8))
-        # the low byte of each word comes first whatever the machine's byte order
-        first = words.astype("<u8", copy=False).view(np.uint8)[:size]
+        first = _word_bytes(draw, size)
         # mode="wrap" skips take's buffered bounds check: rows and col_of
         # index the source, and symbols were checked against the alphabet
         source.take(rows[lo:hi], axis=0, out=src[: hi - lo], mode="wrap")

@@ -40,8 +40,15 @@ def naive_sample_symbols(probs, shape, rng):
 
 
 def naive_uniform_symbols(k, shape, rng):
-    """Uniform symbols on 0..k-1 from one Generator.integers call; uint8 output."""
-    return rng.integers(0, k, size=shape, dtype=np.uint8)
+    """Uniform symbols on 0..k-1 for k = 2**j, uint8 output, one entry at a
+    time in Python ints: entry e is the top j bits of byte e % 8 of word
+    e // 8, counting from the low byte, where the words are
+    Generator.integers(0, 2**64, dtype=np.uint64) draws."""
+    size = math.prod(shape)
+    words = [int(v) for v in rng.integers(0, 2**64, size=-(-size // 8), dtype=np.uint64)]
+    shift = 8 - (k.bit_length() - 1)
+    out = [((words[e // 8] >> (8 * (e % 8))) & 0xFF) >> shift for e in range(size)]
+    return np.array(out, dtype=np.uint8).reshape(shape)
 
 
 def naive_noisy_view(source, rows, counts, ch, rng):

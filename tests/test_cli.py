@@ -226,6 +226,8 @@ def test_wrong_json_type_exits_2_naming_key(tmp_path, capsys, key, value):
         # 2**(16 * 100) rows overflow a float
         ("rate", 100),
         ("rateGrid", [0.1, 64.0]),
+        # 16**300 seed rows overflow a float too
+        ("seedOrder", 300),
     ],
 )
 def test_value_below_bound_exits_2_naming_key(tmp_path, capsys, key, value):

@@ -98,6 +98,9 @@ def test_seed_batch_size_modes():
     assert seed_batch_size(cfg) == expect
     assert seed_batch_size(make_config(seedRows=17)) == 17
     assert seed_batch_size(make_config(seedOrder=1.0)) == 20
+    # just below the float range at n = 16, and ignored beside seedRows
+    assert seed_batch_size(make_config(n=16, seedOrder=255.5)) == math.ceil(16**255.5)
+    assert seed_batch_size(make_config(n=16, seedOrder=300, seedRows=3)) == 3
 
 
 # --- trials ------------------------------------------------------------------------

@@ -60,6 +60,8 @@ def test_tiled_sampler_matches_one_shot():
     pmfs = [Pmf([0.2, 0.3, 0.5]), Pmf([0.9, 0.1]), Pmf([0.5, 0.0, 0.25, 0.25])]
     # 256 symbols, and a cdf that passes 1.0 before its last symbol
     pmfs += [Pmf(weights / weights.sum()), Pmf([0.5, 0.5 + 1e-13, 0.0])]
+    # uniform alphabets that are not a power of two take the same path
+    pmfs += [Pmf.uniform(3), Pmf.uniform(5), Pmf.uniform(6)]
     for p in pmfs:
         for shape in ((0, 60), (7, 0), (0, 0), (1, 1), (7, 3), (1, block), (3, 21846), (2500, 61)):
             rng, ref = np.random.default_rng(40), np.random.default_rng(40)
@@ -70,25 +72,23 @@ def test_tiled_sampler_matches_one_shot():
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_uniform_sampler_matches_integers():
+def test_power_of_two_sampler_matches_word_oracle():
     # bit for bit, with the generator left in the same state, both from a
     # fresh generator and from one holding the unused half of a 64-bit draw
-    # (an odd number of 32-bit draws taken before)
-    shapes = [(0, 5), (5, 0), (0, 0), (1, 1000)]
-    shapes += [(size, 1) for size in range(1, 10)]
-    shapes += [(4 * j + extra, 1) for j in (2, 25) for extra in (1, 2, 3)]
-    shapes += [(7, 3), (100, 60), (1001, 13)]
-    for k in (1, 2, 3, 4, 5, 8, 16, 256):
-        for shape in shapes:
-            for prior in (0, 1):
-                rng, ref = np.random.default_rng(60 + k), np.random.default_rng(60 + k)
-                for g in (rng, ref):
-                    g.integers(0, 2**32, size=prior, dtype=np.uint32)
-                got = model._sample_symbols(Pmf.uniform(k), shape, rng)
-                want = naive_uniform_symbols(k, shape, ref)
-                assert got.dtype == np.uint8 and got.shape == shape
-                assert np.array_equal(got, want), (k, shape, prior)
-                assert rng.bit_generator.state == ref.bit_generator.state, (k, shape, prior)
+    # (an odd number of 32-bit draws taken before), which no word draw reads
+    shapes = [(size, 1) for size in range(18)] + [(0, 5), (7, 3), (100, 60), (1001, 13)]
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        for k in (2, 4, 8, 16, 256):
+            for shape in shapes:
+                for prior in (0, 1):
+                    rng, ref = (np.random.Generator(bit_generator(60 + k)) for _ in range(2))
+                    for g in (rng, ref):
+                        g.integers(0, 2**32, size=prior, dtype=np.uint32)
+                    got = model._sample_symbols(Pmf.uniform(k), shape, rng)
+                    want = naive_uniform_symbols(k, shape, ref)
+                    assert got.dtype == np.uint8 and got.shape == shape
+                    assert np.array_equal(got, want), (bit_generator, k, shape, prior)
+                    assert bit_state(rng) == bit_state(ref), (bit_generator, k, shape, prior)
 
 
 def test_one_symbol_source_draws_nothing():
